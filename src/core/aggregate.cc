@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "core/linearizer.h"
+#include "core/rle_cells.h"
 
 namespace tilestore {
 
@@ -111,87 +112,18 @@ double ReduceRegionRuns(const Array& array, const MInterval& region,
 template <typename T>
 Result<double> ReduceRleStream(const std::vector<uint8_t>& stream,
                                uint64_t cell_count, AggregateOp op) {
-  constexpr size_t kCell = sizeof(T);
   double sum = 0;
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
   uint64_t nonzero = 0;
-  uint8_t buf[kCell];
-  size_t fill = 0;
-  auto fold = [&](T v) {
-    switch (op) {
-      case AggregateOp::kSum:
-      case AggregateOp::kAvg:
-        sum += static_cast<double>(v);
-        break;
-      case AggregateOp::kMin:
-        min = std::min(min, static_cast<double>(v));
-        break;
-      case AggregateOp::kMax:
-        max = std::max(max, static_cast<double>(v));
-        break;
-      case AggregateOp::kCount:
-        if (v != static_cast<T>(0)) ++nonzero;
-        break;
-    }
-  };
-  auto push_byte = [&](uint8_t b) {
-    // fill < kCell is invariant; the modulo makes it provable for the
-    // compiler's bounds checking (kCell is a power of two, so it's an AND).
-    buf[fill % kCell] = b;
-    if (++fill == kCell) {
-      T v;
-      std::memcpy(&v, buf, kCell);
-      fold(v);
-      fill = 0;
-    }
-  };
-
-  const uint64_t declared_bytes = cell_count * kCell;
-  uint64_t bytes_seen = 0;
-  size_t i = 0;
-  const size_t n = stream.size();
-  while (i < n) {
-    const uint8_t control = stream[i++];
-    if (control == 0x80) {
-      return Status::Corruption("reserved RLE control byte");
-    }
-    if (control < 0x80) {
-      const size_t lit = static_cast<size_t>(control) + 1;
-      if (i + lit > n) return Status::Corruption("truncated RLE literal run");
-      bytes_seen += lit;
-      if (bytes_seen > declared_bytes) {
-        return Status::Corruption("RLE stream longer than declared size");
-      }
-      for (size_t k = 0; k < lit; ++k) push_byte(stream[i + k]);
-      i += lit;
-    } else {
-      if (i >= n) return Status::Corruption("truncated RLE repeat run");
-      size_t run = 257 - static_cast<size_t>(control);
-      const uint8_t b = stream[i++];
-      bytes_seen += run;
-      if (bytes_seen > declared_bytes) {
-        return Status::Corruption("RLE stream longer than declared size");
-      }
-      // Finish the partially assembled cell, then take whole cells of the
-      // repeated byte at once, then start the next partial cell.
-      while (run > 0 && fill != 0) {
-        push_byte(b);
-        --run;
-      }
-      if (run >= kCell) {
-        uint8_t pattern[kCell];
-        std::memset(pattern, b, kCell);
+  Status st = ForEachRleCell(
+      stream, sizeof(T), cell_count, [&](const uint8_t* cell, uint64_t n) {
         T v;
-        std::memcpy(&v, pattern, kCell);
-        const uint64_t whole = run / kCell;
-        run -= static_cast<size_t>(whole) * kCell;
+        std::memcpy(&v, cell, sizeof(T));
         switch (op) {
           case AggregateOp::kSum:
           case AggregateOp::kAvg:
-            for (uint64_t w = 0; w < whole; ++w) {
-              sum += static_cast<double>(v);
-            }
+            for (uint64_t w = 0; w < n; ++w) sum += static_cast<double>(v);
             break;
           case AggregateOp::kMin:
             min = std::min(min, static_cast<double>(v));
@@ -200,19 +132,11 @@ Result<double> ReduceRleStream(const std::vector<uint8_t>& stream,
             max = std::max(max, static_cast<double>(v));
             break;
           case AggregateOp::kCount:
-            if (v != static_cast<T>(0)) nonzero += whole;
+            if (v != static_cast<T>(0)) nonzero += n;
             break;
         }
-      }
-      while (run > 0) {
-        push_byte(b);
-        --run;
-      }
-    }
-  }
-  if (fill != 0 || bytes_seen != declared_bytes) {
-    return Status::Corruption("RLE stream shorter than declared size");
-  }
+      });
+  if (!st.ok()) return st;
   switch (op) {
     case AggregateOp::kSum:
       return sum;
@@ -226,6 +150,12 @@ Result<double> ReduceRleStream(const std::vector<uint8_t>& stream,
       return static_cast<double>(nonzero);
   }
   return Status::Internal("unhandled aggregate op");
+}
+
+Status NotNumeric(CellType cell_type) {
+  return Status::InvalidArgument(
+      "cell type does not support numeric aggregation: " +
+      std::string(cell_type.name()));
 }
 
 struct OpName {
@@ -256,92 +186,31 @@ std::string_view AggregateOpToName(AggregateOp op) {
 }
 
 Result<double> CellValueAsDouble(CellType cell_type, const uint8_t* cell) {
-  switch (cell_type.id()) {
-    case CellTypeId::kUInt8:
-      return static_cast<double>(*cell);
-    case CellTypeId::kInt8:
-      return static_cast<double>(*reinterpret_cast<const int8_t*>(cell));
-    case CellTypeId::kUInt16: {
-      uint16_t v;
-      std::memcpy(&v, cell, sizeof(v));
-      return static_cast<double>(v);
-    }
-    case CellTypeId::kInt16: {
-      int16_t v;
-      std::memcpy(&v, cell, sizeof(v));
-      return static_cast<double>(v);
-    }
-    case CellTypeId::kUInt32: {
-      uint32_t v;
-      std::memcpy(&v, cell, sizeof(v));
-      return static_cast<double>(v);
-    }
-    case CellTypeId::kInt32: {
-      int32_t v;
-      std::memcpy(&v, cell, sizeof(v));
-      return static_cast<double>(v);
-    }
-    case CellTypeId::kUInt64: {
-      uint64_t v;
-      std::memcpy(&v, cell, sizeof(v));
-      return static_cast<double>(v);
-    }
-    case CellTypeId::kInt64: {
-      int64_t v;
-      std::memcpy(&v, cell, sizeof(v));
-      return static_cast<double>(v);
-    }
-    case CellTypeId::kFloat32: {
-      float v;
-      std::memcpy(&v, cell, sizeof(v));
-      return static_cast<double>(v);
-    }
-    case CellTypeId::kFloat64: {
-      double v;
-      std::memcpy(&v, cell, sizeof(v));
-      return v;
-    }
-    case CellTypeId::kRGB8:
-    case CellTypeId::kOpaque:
-      return Status::InvalidArgument(
-          "cell type does not support numeric interpretation: " +
-          std::string(cell_type.name()));
+  double value = 0;
+  const bool numeric = VisitNumericCellType(cell_type.id(), [&](auto t) {
+    decltype(t) v;
+    std::memcpy(&v, cell, sizeof(v));
+    value = static_cast<double>(v);
+  });
+  if (!numeric) {
+    return Status::InvalidArgument(
+        "cell type does not support numeric interpretation: " +
+        std::string(cell_type.name()));
   }
-  return Status::Internal("unhandled cell type");
+  return value;
 }
 
 Result<double> AggregateCells(const Array& array, AggregateOp op) {
   if (array.cell_count() == 0) {
     return Status::InvalidArgument("aggregate of empty array");
   }
-  switch (array.cell_type().id()) {
-    case CellTypeId::kUInt8:
-      return Reduce<uint8_t>(array, op);
-    case CellTypeId::kInt8:
-      return Reduce<int8_t>(array, op);
-    case CellTypeId::kUInt16:
-      return Reduce<uint16_t>(array, op);
-    case CellTypeId::kInt16:
-      return Reduce<int16_t>(array, op);
-    case CellTypeId::kUInt32:
-      return Reduce<uint32_t>(array, op);
-    case CellTypeId::kInt32:
-      return Reduce<int32_t>(array, op);
-    case CellTypeId::kUInt64:
-      return Reduce<uint64_t>(array, op);
-    case CellTypeId::kInt64:
-      return Reduce<int64_t>(array, op);
-    case CellTypeId::kFloat32:
-      return Reduce<float>(array, op);
-    case CellTypeId::kFloat64:
-      return Reduce<double>(array, op);
-    case CellTypeId::kRGB8:
-    case CellTypeId::kOpaque:
-      return Status::InvalidArgument(
-          "cell type does not support numeric aggregation: " +
-          std::string(array.cell_type().name()));
+  double value = 0;
+  if (!VisitNumericCellType(array.cell_type().id(), [&](auto t) {
+        value = Reduce<decltype(t)>(array, op);
+      })) {
+    return NotNumeric(array.cell_type());
   }
-  return Status::Internal("unhandled cell type");
+  return value;
 }
 
 Result<double> AggregateRegion(const Array& array, const MInterval& region,
@@ -352,34 +221,13 @@ Result<double> AggregateRegion(const Array& array, const MInterval& region,
                                    " not inside array domain " +
                                    array.domain().ToString());
   }
-  switch (array.cell_type().id()) {
-    case CellTypeId::kUInt8:
-      return ReduceRegionRuns<uint8_t>(array, region, op);
-    case CellTypeId::kInt8:
-      return ReduceRegionRuns<int8_t>(array, region, op);
-    case CellTypeId::kUInt16:
-      return ReduceRegionRuns<uint16_t>(array, region, op);
-    case CellTypeId::kInt16:
-      return ReduceRegionRuns<int16_t>(array, region, op);
-    case CellTypeId::kUInt32:
-      return ReduceRegionRuns<uint32_t>(array, region, op);
-    case CellTypeId::kInt32:
-      return ReduceRegionRuns<int32_t>(array, region, op);
-    case CellTypeId::kUInt64:
-      return ReduceRegionRuns<uint64_t>(array, region, op);
-    case CellTypeId::kInt64:
-      return ReduceRegionRuns<int64_t>(array, region, op);
-    case CellTypeId::kFloat32:
-      return ReduceRegionRuns<float>(array, region, op);
-    case CellTypeId::kFloat64:
-      return ReduceRegionRuns<double>(array, region, op);
-    case CellTypeId::kRGB8:
-    case CellTypeId::kOpaque:
-      return Status::InvalidArgument(
-          "cell type does not support numeric aggregation: " +
-          std::string(array.cell_type().name()));
+  double value = 0;
+  if (!VisitNumericCellType(array.cell_type().id(), [&](auto t) {
+        value = ReduceRegionRuns<decltype(t)>(array, region, op);
+      })) {
+    return NotNumeric(array.cell_type());
   }
-  return Status::Internal("unhandled cell type");
+  return value;
 }
 
 Result<double> AggregateRleStream(const std::vector<uint8_t>& stream,
@@ -388,34 +236,13 @@ Result<double> AggregateRleStream(const std::vector<uint8_t>& stream,
   if (cell_count == 0) {
     return Status::InvalidArgument("aggregate of empty array");
   }
-  switch (cell_type.id()) {
-    case CellTypeId::kUInt8:
-      return ReduceRleStream<uint8_t>(stream, cell_count, op);
-    case CellTypeId::kInt8:
-      return ReduceRleStream<int8_t>(stream, cell_count, op);
-    case CellTypeId::kUInt16:
-      return ReduceRleStream<uint16_t>(stream, cell_count, op);
-    case CellTypeId::kInt16:
-      return ReduceRleStream<int16_t>(stream, cell_count, op);
-    case CellTypeId::kUInt32:
-      return ReduceRleStream<uint32_t>(stream, cell_count, op);
-    case CellTypeId::kInt32:
-      return ReduceRleStream<int32_t>(stream, cell_count, op);
-    case CellTypeId::kUInt64:
-      return ReduceRleStream<uint64_t>(stream, cell_count, op);
-    case CellTypeId::kInt64:
-      return ReduceRleStream<int64_t>(stream, cell_count, op);
-    case CellTypeId::kFloat32:
-      return ReduceRleStream<float>(stream, cell_count, op);
-    case CellTypeId::kFloat64:
-      return ReduceRleStream<double>(stream, cell_count, op);
-    case CellTypeId::kRGB8:
-    case CellTypeId::kOpaque:
-      return Status::InvalidArgument(
-          "cell type does not support numeric aggregation: " +
-          std::string(cell_type.name()));
+  Result<double> value = 0.0;
+  if (!VisitNumericCellType(cell_type.id(), [&](auto t) {
+        value = ReduceRleStream<decltype(t)>(stream, cell_count, op);
+      })) {
+    return NotNumeric(cell_type);
   }
-  return Status::Internal("unhandled cell type");
+  return value;
 }
 
 }  // namespace tilestore

@@ -1,7 +1,9 @@
 #ifndef TILESTORE_CORE_AGGREGATE_H_
 #define TILESTORE_CORE_AGGREGATE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string_view>
 #include <vector>
 
@@ -57,6 +59,79 @@ Result<double> AggregateRegion(const Array& array, const MInterval& region,
 Result<double> AggregateRleStream(const std::vector<uint8_t>& stream,
                                   CellType cell_type, uint64_t cell_count,
                                   AggregateOp op);
+
+/// Running fold of one aggregate over values arriving in order — how
+/// per-tile partials become a query's answer. `Add(value, n)` folds `n`
+/// cells whose reduction under the fold's op is `value` (for kAvg: their
+/// sum), `AddCell(v)` one cell holding `v`, and `AddUniform(v, n)` `n`
+/// cells all holding `v`. `Value()` is the aggregate over every folded
+/// cell, and 0 when there is none (an aggregate over the empty set has no
+/// natural min/max/avg).
+class AggregateFold {
+ public:
+  explicit AggregateFold(AggregateOp op) : op_(op) {}
+
+  void Add(double value, uint64_t n) {
+    cells_ += n;
+    switch (op_) {
+      case AggregateOp::kSum:
+      case AggregateOp::kAvg:
+        sum_ += value;
+        break;
+      case AggregateOp::kMin:
+        min_ = std::min(min_, value);
+        break;
+      case AggregateOp::kMax:
+        max_ = std::max(max_, value);
+        break;
+      case AggregateOp::kCount:
+        nonzero_ += value;
+        break;
+    }
+  }
+  void AddCell(double v) {
+    Add(op_ == AggregateOp::kCount ? (v != 0.0 ? 1.0 : 0.0) : v, 1);
+  }
+  void AddUniform(double v, uint64_t n) {
+    const double count = static_cast<double>(n);
+    switch (op_) {
+      case AggregateOp::kSum:
+      case AggregateOp::kAvg:
+        return Add(v * count, n);
+      case AggregateOp::kCount:
+        return Add(v != 0.0 ? count : 0.0, n);
+      case AggregateOp::kMin:
+      case AggregateOp::kMax:
+        return Add(v, n);
+    }
+  }
+
+  double Value() const {
+    if (cells_ == 0) return 0.0;
+    switch (op_) {
+      case AggregateOp::kSum:
+        return sum_;
+      case AggregateOp::kAvg:
+        return sum_ / static_cast<double>(cells_);
+      case AggregateOp::kMin:
+        return min_;
+      case AggregateOp::kMax:
+        return max_;
+      case AggregateOp::kCount:
+        return nonzero_;
+    }
+    return 0.0;
+  }
+  uint64_t cells() const { return cells_; }
+
+ private:
+  AggregateOp op_;
+  double sum_ = 0;
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = -std::numeric_limits<double>::infinity();
+  double nonzero_ = 0;
+  uint64_t cells_ = 0;
+};
 
 /// Interprets one cell (`cell_type.size()` bytes at `cell`) as a double.
 /// Used to fold an object's default cell value into aggregations over

@@ -96,6 +96,29 @@ template <> struct CellTypeTraits<double> {
   static constexpr CellTypeId kId = CellTypeId::kFloat64;
 };
 
+/// Calls `fn(T{})` with the C++ scalar type `T` of a numeric cell type
+/// and returns true; returns false without calling `fn` for rgb8 and
+/// opaque. The one place a numeric kernel is instantiated per cell type.
+template <typename Fn>
+bool VisitNumericCellType(CellTypeId id, Fn&& fn) {
+  switch (id) {
+    case CellTypeId::kUInt8:   fn(uint8_t{});  return true;
+    case CellTypeId::kInt8:    fn(int8_t{});   return true;
+    case CellTypeId::kUInt16:  fn(uint16_t{}); return true;
+    case CellTypeId::kInt16:   fn(int16_t{});  return true;
+    case CellTypeId::kUInt32:  fn(uint32_t{}); return true;
+    case CellTypeId::kInt32:   fn(int32_t{});  return true;
+    case CellTypeId::kUInt64:  fn(uint64_t{}); return true;
+    case CellTypeId::kInt64:   fn(int64_t{});  return true;
+    case CellTypeId::kFloat32: fn(float{});    return true;
+    case CellTypeId::kFloat64: fn(double{});   return true;
+    case CellTypeId::kRGB8:
+    case CellTypeId::kOpaque:
+      return false;
+  }
+  return false;
+}
+
 /// An RGB pixel, the cell type of the animation benchmark (Table 5).
 struct RGB8 {
   uint8_t r = 0;

@@ -793,7 +793,7 @@ Result<uint64_t> MDDObject::RelocateTiles(
 Result<Tile> MDDObject::FetchTile(const TileEntry& entry) const {
   // One tile through the shared decode pipeline, serial paper-exact mode.
   TileIOScheduler scheduler(blobs_);
-  return scheduler.FetchOne(entry, cell_type_, /*coalesce=*/false, nullptr);
+  return scheduler.FetchOne(entry, cell_type_, /*coalesce=*/false);
 }
 
 std::vector<TileEntry> MDDObject::AllTiles() const {

@@ -85,10 +85,10 @@ struct QueryStats {
   double t_ix_measured_ms = 0;
   double t_o_measured_ms = 0;
   double t_cpu_measured_ms = 0;
-  /// Wall clock of the whole retrieval phase. Equals `t_o_measured_ms` on
-  /// the serial path; under parallelism the summed per-tile time
-  /// (`t_o_measured_ms`) exceeds this — their ratio is the effective
-  /// retrieval overlap.
+  /// Wall clock of the whole fetch call: the reads plus the decode and
+  /// composition done as tiles arrive. `t_o_measured_ms` is the read time
+  /// alone (summed per tile at parallelism 1, the one batched wave
+  /// above), and the decode/composition time is in `t_cpu_measured_ms`.
   double t_o_wall_ms = 0;
   double total_access_measured_ms() const {
     return t_ix_measured_ms + t_o_measured_ms;

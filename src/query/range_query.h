@@ -16,19 +16,24 @@
 
 namespace tilestore {
 
+namespace query_pipeline {
+struct Plan;
+class Consumer;
+}  // namespace query_pipeline
+
 /// Execution options for range queries.
 struct RangeQueryOptions {
   /// Cold run: clear the buffer pool and reset the disk model before
   /// executing, so t_o reflects physical retrieval — the regime the paper
   /// measures. Warm runs (default) use whatever is cached.
   bool cold = false;
-  /// Tile retrieval parallelism. 1 (default) is the serial tile-at-a-time
-  /// path whose results, counters, and model costs are bit-identical to
-  /// the pre-scheduler implementation. Higher values fetch through the
-  /// `TileIOScheduler`: page runs are coalesced and decode/composition
-  /// spread over the store's worker pool. Results are byte-identical at
-  /// any parallelism; only wall-clock (and, for cold runs, the seek
-  /// interleaving recorded by the shared disk model) varies.
+  /// Tile retrieval parallelism. 1 (default) reads page by page, tile at
+  /// a time, so counters and model costs are bit-identical to the paper's
+  /// tile-at-a-time loop. Higher values fetch every miss in one coalesced
+  /// `GetBatch` wave and spread decode/composition over the store's
+  /// worker pool. Results are byte-identical at any parallelism; only
+  /// wall-clock (and, for cold runs, the seek interleaving recorded by the
+  /// shared disk model) varies.
   int parallelism = 1;
   /// Cost model parameters for t_ix / t_cpu (see CostParams).
   CostParams cost;
@@ -41,13 +46,6 @@ struct RangeQueryOptions {
   /// physical retrieval. Results are byte-identical either way — hits just
   /// skip the page fetch and the decode.
   bool use_tile_cache = true;
-  /// Which aggregation kernel `ExecuteAggregate` uses per tile part.
-  /// `kRun` (default) reduces in place over the tile's innermost-axis runs
-  /// — no slice allocation, no copy — and folds whole RLE tiles directly
-  /// over the compressed stream; `kSlice` is the legacy materialize-then-
-  /// reduce path, kept for differential testing. Bit-identical results.
-  enum class AggregateKernel { kRun, kSlice };
-  AggregateKernel aggregate_kernel = AggregateKernel::kRun;
   /// Value predicate (DESIGN.md §15). When set, `Execute` returns the
   /// resolved region with non-matching cells replaced by the object's
   /// default value, and `ExecuteAggregate` folds matching cells only. The
@@ -64,11 +62,14 @@ struct RangeQueryOptions {
 /// against MDD objects, instrumented with the paper's t_ix / t_o / t_cpu
 /// breakdown.
 ///
-/// Execution pipeline, exactly as in Section 5: (1) probe the tile index
-/// for the tiles intersecting the query region (t_ix); (2) retrieve those
-/// tiles' BLOBs from the storage system (t_o); (3) compose the intersected
-/// tile parts into the result array (t_cpu). Cells of the region covered
-/// by no tile are filled with the object's default value.
+/// Execution pipeline, exactly as in Section 5, shared by every query
+/// kind: (1) *plan* — probe the tile index for the tiles intersecting the
+/// query region and class each as skip / accept-all / inspect against the
+/// predicate's tile summaries (t_ix); (2) *fetch* their BLOBs from the
+/// storage system in one scheduler batch (t_o); (3) *consume* the tile
+/// parts — materialize them into the result array or fold them into an
+/// aggregate (t_cpu). Cells of the region covered by no tile hold the
+/// object's default value.
 ///
 /// Observability: each query gets a fresh trace id and emits nested
 /// "query" / "index_probe" / "fetch" / "compose" spans into the store's
@@ -109,14 +110,14 @@ class RangeQueryExecutor {
   RangeQueryOptions* mutable_options() { return &options_; }
 
  private:
-  /// Filtered variants taken when `options_.predicate` is set: classify
-  /// every index hit against its tile summary, fetch only accept/inspect
-  /// tiles, and compose/fold with the predicate applied.
-  Result<Array> ExecuteFiltered(MDDObject* object, const MInterval& region,
-                                QueryStats* stats);
-  Result<double> ExecuteAggregateFiltered(MDDObject* object,
-                                          const MInterval& region,
-                                          AggregateOp op, QueryStats* stats);
+  /// plan → fetch → consume for one query; `consumer` decides what the
+  /// tiles become (DESIGN.md §6).
+  Status Run(MDDObject* object, const MInterval& region,
+             query_pipeline::Consumer* consumer, QueryStats* stats);
+  /// The plan step: index probe (or negative-cache hit), BLOB-id order,
+  /// and the skip / accept-all / inspect class of every hit.
+  void MakePlan(bool use_cache, query_pipeline::Plan* plan,
+                QueryStats* stats);
 
   MDDStore* store_;
   RangeQueryOptions options_;

@@ -334,6 +334,9 @@ Status IoUringBackend::SubmitBatch(std::span<ReadOp> ops) {
   std::vector<int8_t> slot_of(ops.size(), -1);
   std::vector<uint8_t> fastpath(ops.size(), 0);
   size_t next = 0;  // next op to place into the ring
+  // SQEs submitted but not yet reaped. Only these can complete, so they
+  // bound the wait: a batch larger than the ring refills it in rounds.
+  unsigned in_flight = 0;
   while (completed < ops.size()) {
     // Fill available SQ slots.
     unsigned head = LoadAcquire(ring.sq_head);
@@ -395,10 +398,12 @@ Status IoUringBackend::SubmitBatch(std::span<ReadOp> ops) {
       ++next;
     }
     StoreRelease(ring.sq_tail, tail);
+    in_flight += filled;
 
-    const unsigned outstanding =
-        static_cast<unsigned>(ops.size() - completed);
-    const int ret = SysIoUringEnter(ring.fd, filled, outstanding,
+    // Everything the kernel has not consumed yet — including SQEs left
+    // over from an enter that was interrupted before submitting.
+    const unsigned unsubmitted = tail - LoadAcquire(ring.sq_head);
+    const int ret = SysIoUringEnter(ring.fd, unsubmitted, in_flight,
                                     IORING_ENTER_GETEVENTS);
     if (ret < 0) {
       if (errno == EINTR || errno == EAGAIN) continue;
@@ -454,6 +459,7 @@ Status IoUringBackend::SubmitBatch(std::span<ReadOp> ops) {
       }
       ++chead;
       ++completed;
+      --in_flight;
     }
     StoreRelease(ring.cq_head, chead);
   }

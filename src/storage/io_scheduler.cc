@@ -52,51 +52,29 @@ void TileIOStats::Add(const TileIOStats& other) {
 }
 
 Result<Tile> TileIOScheduler::FetchOne(const TileEntry& entry,
-                                       CellType cell_type, bool coalesce,
-                                       TileIOStats* stats) {
-  const Clock::time_point io_start = Clock::now();
+                                       CellType cell_type, bool coalesce) {
   Result<std::vector<uint8_t>> data =
-      coalesce ? [&] {
-        BlobReadStats blob_stats;
-        Result<std::vector<uint8_t>> r =
-            blobs_->GetCoalesced(entry.blob, &blob_stats);
-        if (stats != nullptr) {
-          stats->coalesced_runs += blob_stats.physical_runs;
-          if (blob_stats.fell_back) ++stats->chain_fallbacks;
-        }
-        return r;
-      }()
+      coalesce ? blobs_->GetCoalesced(entry.blob, nullptr)
                : blobs_->Get(entry.blob);
   if (!data.ok()) return data.status();
-  if (stats != nullptr) stats->io_summed_ms += ElapsedMs(io_start);
-  return DecodePayload(entry, cell_type, std::move(data).MoveValue(), stats);
+  return DecodePayload(entry, cell_type, std::move(data).MoveValue());
 }
 
 Result<Tile> TileIOScheduler::DecodePayload(const TileEntry& entry,
                                             CellType cell_type,
-                                            std::vector<uint8_t>&& data,
-                                            TileIOStats* stats) {
-  const Clock::time_point decode_start = Clock::now();
+                                            std::vector<uint8_t>&& data) {
   const size_t raw_size = entry.domain.CellCountOrDie() * cell_type.size();
   Result<std::vector<uint8_t>> cells =
       Decompress(entry.compression, data, raw_size);
   if (!cells.ok()) return cells.status();
-  Result<Tile> tile =
-      Tile::FromBuffer(entry.domain, cell_type, std::move(cells).MoveValue());
-  if (!tile.ok()) return tile.status();
-
-  if (stats != nullptr) {
-    ++stats->tiles;
-    stats->tile_bytes += tile->size_bytes();
-    stats->decode_summed_ms += ElapsedMs(decode_start);
-  }
-  return tile;
+  return Tile::FromBuffer(entry.domain, cell_type,
+                          std::move(cells).MoveValue());
 }
 
 Status TileIOScheduler::FetchBatch(
     std::span<const TileEntry> entries, CellType cell_type,
     const TileIOOptions& options,
-    const std::function<Status(size_t, Tile&&)>& consume,
+    const std::function<Status(size_t, const Tile&)>& consume,
     TileIOStats* stats) {
   const Clock::time_point wall_start = Clock::now();
 
@@ -113,171 +91,7 @@ Status TileIOScheduler::FetchBatch(
           ? std::min<int>(std::max(options.parallelism, 1),
                           static_cast<int>(options.pool->size()))
           : 1;
-
-  if (metrics_.batches != nullptr) {
-    metrics_.batches->Add(1);
-    metrics_.batch_tiles->Observe(static_cast<double>(entries.size()));
-    metrics_.queue_depth->Add(static_cast<int64_t>(entries.size()));
-  }
-  // The queue-depth gauge must come back down on every exit path,
-  // including errors, by whatever is still outstanding.
-  uint64_t completed = 0;
-  auto settle_queue = [&]() {
-    if (metrics_.queue_depth != nullptr) {
-      metrics_.queue_depth->Add(-static_cast<int64_t>(entries.size() -
-                                                      completed));
-    }
-  };
-
-  if (parallelism <= 1) {
-    // Serial mode: byte-for-byte the original tile-at-a-time loop — page
-    // by page through the pool, no speculative reads — so the paper's
-    // deterministic cost numbers are reproduced exactly.
-    TileIOStats local;
-    for (size_t idx : order) {
-      const Clock::time_point fetch_start = Clock::now();
-      Result<Tile> tile = [&] {
-        obs::TraceScope span(options.trace, options.trace_id, "tile_fetch");
-        return FetchOne(entries[idx], cell_type, /*coalesce=*/false, &local);
-      }();
-      if (metrics_.fetch_ms != nullptr) {
-        metrics_.fetch_ms->Observe(ElapsedMs(fetch_start));
-      }
-      if (!tile.ok()) {
-        settle_queue();
-        return tile.status();
-      }
-      const Clock::time_point consume_start = Clock::now();
-      Status st = [&] {
-        obs::TraceScope span(options.trace, options.trace_id, "tile_decode");
-        return consume(idx, std::move(tile).MoveValue());
-      }();
-      if (!st.ok()) {
-        settle_queue();
-        return st;
-      }
-      local.decode_summed_ms += ElapsedMs(consume_start);
-      ++completed;
-      if (metrics_.queue_depth != nullptr) metrics_.queue_depth->Add(-1);
-    }
-    local.wall_ms = ElapsedMs(wall_start);
-    if (stats != nullptr) stats->Add(local);
-    if (metrics_.tiles != nullptr) {
-      metrics_.tiles->Add(local.tiles);
-      metrics_.coalesced_runs->Add(local.coalesced_runs);
-      metrics_.chain_fallbacks->Add(local.chain_fallbacks);
-    }
-    return Status::OK();
-  }
-
-  // Parallel mode: one `GetBatch` covers the whole sorted batch, so every
-  // miss span is handed to the page file's IoBackend in a single
-  // submission; `parallelism` workers then drain decode + composition
-  // through a shared cursor. Charges were replayed inside GetBatch in
-  // sorted-id order, identical to a sequential coalesced loop.
-  std::vector<BlobId> ids(order.size());
-  for (size_t i = 0; i < order.size(); ++i) ids[i] = entries[order[i]].blob;
-
-  const Clock::time_point io_start = Clock::now();
-  std::vector<std::vector<uint8_t>> payloads;
-  BlobReadStats batch_stats;
-  Status batch_status = blobs_->GetBatch(ids, &payloads, &batch_stats);
-  const double batch_io_ms = ElapsedMs(io_start);
-  if (metrics_.fetch_ms != nullptr) metrics_.fetch_ms->Observe(batch_io_ms);
-  if (!batch_status.ok()) {
-    settle_queue();
-    return batch_status;
-  }
-
-  std::atomic<size_t> cursor{0};
-  std::atomic<uint64_t> done{0};
-  std::atomic<bool> failed{false};
-  std::mutex result_mu;
-  Status first_error;
-  TileIOStats merged;
-
-  TaskGroup group(options.pool);
-  for (int w = 0; w < parallelism; ++w) {
-    group.Run([&] {
-      TileIOStats local;
-      size_t i;
-      while (!failed.load(std::memory_order_acquire) &&
-             (i = cursor.fetch_add(1, std::memory_order_relaxed)) <
-                 order.size()) {
-        const size_t idx = order[i];
-        // The payload is already in memory; the span marks the per-tile
-        // handoff + decode so traces keep one tile_fetch per tile.
-        Result<Tile> tile = [&] {
-          obs::TraceScope span(options.trace, options.trace_id, "tile_fetch");
-          return DecodePayload(entries[idx], cell_type,
-                               std::move(payloads[i]), &local);
-        }();
-        Status st = tile.ok()
-                        ? [&] {
-                            obs::TraceScope span(options.trace,
-                                                 options.trace_id,
-                                                 "tile_decode");
-                            const Clock::time_point consume_start =
-                                Clock::now();
-                            Status cs =
-                                consume(idx, std::move(tile).MoveValue());
-                            local.decode_summed_ms += ElapsedMs(consume_start);
-                            return cs;
-                          }()
-                        : tile.status();
-        if (!st.ok()) {
-          failed.store(true, std::memory_order_release);
-          std::lock_guard<std::mutex> lock(result_mu);
-          if (first_error.ok()) first_error = st;
-          break;
-        }
-        done.fetch_add(1, std::memory_order_relaxed);
-        if (metrics_.queue_depth != nullptr) metrics_.queue_depth->Add(-1);
-      }
-      std::lock_guard<std::mutex> lock(result_mu);
-      merged.Add(local);
-    });
-  }
-  group.Wait();
-  completed = done.load(std::memory_order_relaxed);
-
-  merged.coalesced_runs += batch_stats.physical_runs;
-  merged.chain_fallbacks += batch_stats.fallback_chains;
-  merged.cross_object_coalesced += batch_stats.cross_object_coalesced;
-  merged.io_summed_ms += batch_io_ms;
-  if (metrics_.tiles != nullptr) {
-    metrics_.tiles->Add(merged.tiles);
-    metrics_.coalesced_runs->Add(merged.coalesced_runs);
-    metrics_.chain_fallbacks->Add(merged.chain_fallbacks);
-    metrics_.cross_object_coalesced->Add(merged.cross_object_coalesced);
-  }
-  settle_queue();
-  if (!first_error.ok()) return first_error;
-  merged.wall_ms = ElapsedMs(wall_start);
-  if (stats != nullptr) stats->Add(merged);
-  return Status::OK();
-}
-
-Status TileIOScheduler::FetchBatchShared(
-    std::span<const TileEntry> entries, CellType cell_type,
-    const TileIOOptions& options,
-    const std::function<Status(size_t, const Tile&)>& consume,
-    TileIOStats* stats) {
-  const Clock::time_point wall_start = Clock::now();
-
-  // Physical page order, exactly as in FetchBatch.
-  std::vector<size_t> order(entries.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return entries[a].blob < entries[b].blob;
-  });
-
-  const int parallelism =
-      options.pool != nullptr
-          ? std::min<int>(std::max(options.parallelism, 1),
-                          static_cast<int>(options.pool->size()))
-          : 1;
-
+  // A null or disabled cache is the cache that never hits.
   TileCache* cache = options.cache != nullptr && options.cache->enabled() &&
                              options.cache_object_id != 0
                          ? options.cache
@@ -288,133 +102,41 @@ Status TileIOScheduler::FetchBatchShared(
     metrics_.batch_tiles->Observe(static_cast<double>(entries.size()));
     metrics_.queue_depth->Add(static_cast<int64_t>(entries.size()));
   }
-  uint64_t completed = 0;
-  auto settle_queue = [&]() {
-    if (metrics_.queue_depth != nullptr) {
-      metrics_.queue_depth->Add(-static_cast<int64_t>(entries.size() -
-                                                      completed));
-    }
-  };
-
-  // One entry end to end: cache hit > encoded fast path > fetch + decode
-  // (+ optional populate). Runs on the caller (serial) or a worker.
-  auto process = [&](size_t idx, bool coalesce, TileIOStats* local) {
-    const TileEntry& entry = entries[idx];
-    if (cache != nullptr) {
-      std::shared_ptr<const Tile> hit =
-          cache->Lookup(options.cache_object_id, entry.blob);
-      if (hit != nullptr) {
-        // Traffic totals stay identical to the uncached path; only the
-        // measured io/decode times (and fetch_ms) reflect the skip.
-        ++local->tiles;
-        local->tile_bytes += hit->size_bytes();
-        ++local->cache_hits;
-        obs::TraceScope span(options.trace, options.trace_id,
-                             "tile_cache_hit");
-        return consume(idx, *hit);
-      }
-    }
-    if (options.encoded_filter && options.encoded_filter(idx)) {
-      const Clock::time_point io_start = Clock::now();
-      Result<std::vector<uint8_t>> data = [&] {
-        obs::TraceScope span(options.trace, options.trace_id, "tile_fetch");
-        if (!coalesce) return blobs_->Get(entry.blob);
-        BlobReadStats blob_stats;
-        Result<std::vector<uint8_t>> r =
-            blobs_->GetCoalesced(entry.blob, &blob_stats);
-        local->coalesced_runs += blob_stats.physical_runs;
-        if (blob_stats.fell_back) ++local->chain_fallbacks;
-        return r;
-      }();
-      if (!data.ok()) return data.status();
-      ++local->tiles;
-      // Charge the logical decoded size: the cost model's t_cpu is a
-      // function of cells processed, not of the codec that carried them.
-      local->tile_bytes += entry.domain.CellCountOrDie() * cell_type.size();
-      local->io_summed_ms += ElapsedMs(io_start);
-      const Clock::time_point consume_start = Clock::now();
-      Status st = [&] {
-        obs::TraceScope span(options.trace, options.trace_id,
-                             "tile_reduce_encoded");
-        return options.consume_encoded(idx, data.value());
-      }();
-      local->decode_summed_ms += ElapsedMs(consume_start);
-      return st;
-    }
-    const Clock::time_point fetch_start = Clock::now();
-    Result<Tile> tile = [&] {
-      obs::TraceScope span(options.trace, options.trace_id, "tile_fetch");
-      return FetchOne(entry, cell_type, coalesce, local);
-    }();
-    if (metrics_.fetch_ms != nullptr) {
-      metrics_.fetch_ms->Observe(ElapsedMs(fetch_start));
-    }
-    if (!tile.ok()) return tile.status();
-    const Clock::time_point consume_start = Clock::now();
-    Status st = [&] {
-      obs::TraceScope span(options.trace, options.trace_id, "tile_decode");
-      if (cache != nullptr && options.cache_populate) {
-        std::shared_ptr<const Tile> canonical = cache->Insert(
-            options.cache_object_id, entry.blob,
-            std::make_shared<const Tile>(std::move(tile).MoveValue()));
-        return consume(idx, *canonical);
-      }
-      const Tile owned = std::move(tile).MoveValue();
-      return consume(idx, owned);
-    }();
-    local->decode_summed_ms += ElapsedMs(consume_start);
-    return st;
-  };
-
-  if (parallelism <= 1) {
-    TileIOStats local;
-    for (size_t idx : order) {
-      Status st = process(idx, /*coalesce=*/false, &local);
-      if (!st.ok()) {
-        settle_queue();
-        return st;
-      }
-      ++completed;
-      if (metrics_.queue_depth != nullptr) metrics_.queue_depth->Add(-1);
-    }
-    local.wall_ms = ElapsedMs(wall_start);
-    if (stats != nullptr) stats->Add(local);
-    if (metrics_.tiles != nullptr) {
-      metrics_.tiles->Add(local.tiles);
-      metrics_.coalesced_runs->Add(local.coalesced_runs);
-      metrics_.chain_fallbacks->Add(local.chain_fallbacks);
-    }
-    return Status::OK();
-  }
-
-  // Parallel mode: cache hits are resolved inline on the caller first, so
-  // the single `GetBatch` submission covers exactly the misses; workers
-  // then drain decode/consume through a shared cursor.
-  std::atomic<size_t> cursor{0};
-  std::atomic<uint64_t> done{0};
-  std::atomic<bool> failed{false};
-  std::mutex result_mu;
-  Status first_error;
   TileIOStats merged;
-
-  auto publish_metrics = [&] {
+  std::atomic<uint64_t> done{0};
+  auto tile_done = [&] {
+    done.fetch_add(1, std::memory_order_relaxed);
+    if (metrics_.queue_depth != nullptr) metrics_.queue_depth->Add(-1);
+  };
+  // Every exit path publishes the counters and brings the queue-depth
+  // gauge back down by whatever is still outstanding, errors included.
+  auto finish = [&](const Status& st) {
     if (metrics_.tiles != nullptr) {
       metrics_.tiles->Add(merged.tiles);
       metrics_.coalesced_runs->Add(merged.coalesced_runs);
       metrics_.chain_fallbacks->Add(merged.chain_fallbacks);
       metrics_.cross_object_coalesced->Add(merged.cross_object_coalesced);
+      metrics_.queue_depth->Add(-static_cast<int64_t>(
+          entries.size() - done.load(std::memory_order_relaxed)));
     }
+    if (!st.ok()) return st;
+    merged.wall_ms = ElapsedMs(wall_start);
+    if (stats != nullptr) stats->Add(merged);
+    return Status::OK();
   };
 
-  std::vector<size_t> miss_idx;  // entry indices, still in sorted order
-  miss_idx.reserve(order.size());
+  // Cache hits resolve first, on the caller and in BLOB order: no read, no
+  // decode, but the traffic totals of a fetch, so a query's counters never
+  // depend on cache state. Only the misses reach the storage system.
+  std::vector<size_t> misses;
+  misses.reserve(order.size());
   for (size_t idx : order) {
     std::shared_ptr<const Tile> hit =
         cache != nullptr
             ? cache->Lookup(options.cache_object_id, entries[idx].blob)
             : nullptr;
     if (hit == nullptr) {
-      miss_idx.push_back(idx);
+      misses.push_back(idx);
       continue;
     }
     ++merged.tiles;
@@ -424,25 +146,75 @@ Status TileIOScheduler::FetchBatchShared(
       obs::TraceScope span(options.trace, options.trace_id, "tile_cache_hit");
       return consume(idx, *hit);
     }();
-    if (!st.ok()) {
-      publish_metrics();
-      settle_queue();
-      return st;
+    if (!st.ok()) return finish(st);
+    tile_done();
+  }
+
+  // The per-payload step both schedules share: the encoded hook gets the
+  // raw BLOB bytes, every other tile is decoded, offered to the cache and
+  // consumed. Either way the tile is charged its logical decoded size —
+  // the cost model's t_cpu counts cells processed, not the codec.
+  auto process = [&](size_t idx, std::vector<uint8_t>&& payload,
+                     TileIOStats* local) -> Status {
+    const TileEntry& entry = entries[idx];
+    const Clock::time_point start = Clock::now();
+    Status st;
+    if (options.encoded_filter && options.encoded_filter(idx)) {
+      obs::TraceScope span(options.trace, options.trace_id,
+                           "tile_reduce_encoded");
+      st = options.consume_encoded(idx, payload);
+    } else {
+      obs::TraceScope span(options.trace, options.trace_id, "tile_decode");
+      Result<Tile> tile = DecodePayload(entry, cell_type, std::move(payload));
+      if (!tile.ok()) return tile.status();
+      if (cache != nullptr) {
+        st = consume(idx, *cache->Insert(options.cache_object_id, entry.blob,
+                                         std::make_shared<const Tile>(
+                                             std::move(tile).MoveValue())));
+      } else {
+        st = consume(idx, *tile);
+      }
     }
-    ++completed;
-    if (metrics_.queue_depth != nullptr) metrics_.queue_depth->Add(-1);
+    ++local->tiles;
+    local->tile_bytes += entry.domain.CellCountOrDie() * cell_type.size();
+    local->decode_summed_ms += ElapsedMs(start);
+    return st;
+  };
+
+  if (parallelism <= 1) {
+    // Serial schedule: page by page through the pool, no speculative
+    // reads — the original tile-at-a-time loop, so the paper's
+    // deterministic cost numbers are reproduced exactly.
+    for (size_t idx : misses) {
+      const Clock::time_point read_start = Clock::now();
+      Result<std::vector<uint8_t>> payload = [&] {
+        obs::TraceScope span(options.trace, options.trace_id, "tile_fetch");
+        return blobs_->Get(entries[idx].blob);
+      }();
+      const double read_ms = ElapsedMs(read_start);
+      merged.io_summed_ms += read_ms;
+      if (metrics_.fetch_ms != nullptr) metrics_.fetch_ms->Observe(read_ms);
+      Status st = payload.ok()
+                      ? process(idx, std::move(payload).MoveValue(), &merged)
+                      : payload.status();
+      if (!st.ok()) return finish(st);
+      tile_done();
+    }
+    return finish(Status::OK());
   }
 
-  std::vector<BlobId> miss_ids(miss_idx.size());
-  for (size_t i = 0; i < miss_idx.size(); ++i) {
-    miss_ids[i] = entries[miss_idx[i]].blob;
-  }
-
+  // Parallel schedule: one `GetBatch` wave hands every miss span to the
+  // page file's IoBackend in a single submission (charges are replayed in
+  // sorted-id order inside GetBatch, identical to a sequential coalesced
+  // loop); `parallelism` workers then drain the per-payload step through a
+  // shared cursor.
+  std::vector<BlobId> ids(misses.size());
+  for (size_t i = 0; i < misses.size(); ++i) ids[i] = entries[misses[i]].blob;
   const Clock::time_point io_start = Clock::now();
   std::vector<std::vector<uint8_t>> payloads;
   BlobReadStats batch_stats;
-  Status batch_status = blobs_->GetBatch(miss_ids, &payloads, &batch_stats);
-  if (!miss_idx.empty()) {
+  Status batch_status = blobs_->GetBatch(ids, &payloads, &batch_stats);
+  if (!misses.empty()) {
     const double batch_io_ms = ElapsedMs(io_start);
     merged.io_summed_ms += batch_io_ms;
     if (metrics_.fetch_ms != nullptr) metrics_.fetch_ms->Observe(batch_io_ms);
@@ -450,12 +222,12 @@ Status TileIOScheduler::FetchBatchShared(
   merged.coalesced_runs += batch_stats.physical_runs;
   merged.chain_fallbacks += batch_stats.fallback_chains;
   merged.cross_object_coalesced += batch_stats.cross_object_coalesced;
-  if (!batch_status.ok()) {
-    publish_metrics();
-    settle_queue();
-    return batch_status;
-  }
+  if (!batch_status.ok()) return finish(batch_status);
 
+  std::atomic<size_t> cursor{0};
+  std::atomic<bool> failed{false};
+  std::mutex result_mu;
+  Status first_error;
   TaskGroup group(options.pool);
   for (int w = 0; w < parallelism; ++w) {
     group.Run([&] {
@@ -463,78 +235,27 @@ Status TileIOScheduler::FetchBatchShared(
       size_t i;
       while (!failed.load(std::memory_order_acquire) &&
              (i = cursor.fetch_add(1, std::memory_order_relaxed)) <
-                 miss_idx.size()) {
-        const size_t idx = miss_idx[i];
-        const TileEntry& entry = entries[idx];
-        Status st;
-        if (options.encoded_filter && options.encoded_filter(idx)) {
-          {
-            // The raw bytes were fetched in the batch; the empty span
-            // keeps traces at one tile_fetch per tile.
-            obs::TraceScope span(options.trace, options.trace_id,
-                                 "tile_fetch");
-          }
-          ++local.tiles;
-          local.tile_bytes +=
-              entry.domain.CellCountOrDie() * cell_type.size();
-          const Clock::time_point consume_start = Clock::now();
-          st = [&] {
-            obs::TraceScope span(options.trace, options.trace_id,
-                                 "tile_reduce_encoded");
-            return options.consume_encoded(idx, payloads[i]);
-          }();
-          local.decode_summed_ms += ElapsedMs(consume_start);
-        } else {
-          Result<Tile> tile = [&] {
-            obs::TraceScope span(options.trace, options.trace_id,
-                                 "tile_fetch");
-            return DecodePayload(entry, cell_type, std::move(payloads[i]),
-                                 &local);
-          }();
-          st = tile.ok()
-                   ? [&] {
-                       obs::TraceScope span(options.trace, options.trace_id,
-                                            "tile_decode");
-                       const Clock::time_point consume_start = Clock::now();
-                       Status cs;
-                       if (cache != nullptr && options.cache_populate) {
-                         std::shared_ptr<const Tile> canonical =
-                             cache->Insert(options.cache_object_id,
-                                           entry.blob,
-                                           std::make_shared<const Tile>(
-                                               std::move(tile).MoveValue()));
-                         cs = consume(idx, *canonical);
-                       } else {
-                         const Tile owned = std::move(tile).MoveValue();
-                         cs = consume(idx, owned);
-                       }
-                       local.decode_summed_ms += ElapsedMs(consume_start);
-                       return cs;
-                     }()
-                   : tile.status();
+                 misses.size()) {
+        {
+          // The bytes arrived in the wave; the empty span keeps traces at
+          // one tile_fetch per fetched tile.
+          obs::TraceScope span(options.trace, options.trace_id, "tile_fetch");
         }
+        Status st = process(misses[i], std::move(payloads[i]), &local);
         if (!st.ok()) {
           failed.store(true, std::memory_order_release);
           std::lock_guard<std::mutex> lock(result_mu);
           if (first_error.ok()) first_error = st;
           break;
         }
-        done.fetch_add(1, std::memory_order_relaxed);
-        if (metrics_.queue_depth != nullptr) metrics_.queue_depth->Add(-1);
+        tile_done();
       }
       std::lock_guard<std::mutex> lock(result_mu);
       merged.Add(local);
     });
   }
   group.Wait();
-  completed += done.load(std::memory_order_relaxed);
-
-  publish_metrics();
-  settle_queue();
-  if (!first_error.ok()) return first_error;
-  merged.wall_ms = ElapsedMs(wall_start);
-  if (stats != nullptr) stats->Add(merged);
-  return Status::OK();
+  return finish(first_error);
 }
 
 std::future<Result<Tile>> TileIOScheduler::FetchAsync(const TileEntry& entry,
@@ -547,8 +268,7 @@ std::future<Result<Tile>> TileIOScheduler::FetchAsync(const TileEntry& entry,
   auto work = [this, owned = std::move(owned), cell_type,
                promise = std::move(promise),
                coalesce = pool != nullptr]() mutable {
-    TileIOStats stats;
-    promise->set_value(FetchOne(owned, cell_type, coalesce, &stats));
+    promise->set_value(FetchOne(owned, cell_type, coalesce));
   };
   if (pool != nullptr) {
     pool->Submit(std::move(work));

@@ -36,22 +36,18 @@ struct TileIOOptions {
   /// Trace id grouping this batch's spans with the enclosing query.
   uint64_t trace_id = 0;
 
-  // --- FetchBatchShared only (ignored by FetchBatch) ---
-
-  /// Decoded-tile cache consulted before any BLOB read. Inactive when
-  /// null, disabled (capacity 0), or `cache_object_id` is 0.
+  /// Decoded-tile cache consulted before any BLOB read; misses populate
+  /// it. Null, disabled (capacity 0), or `cache_object_id` 0 is the cache
+  /// that never hits.
   TileCache* cache = nullptr;
   /// The owning object's cache epoch (`MDDObject::cache_id`); 0 means the
   /// object is not cacheable.
   uint64_t cache_object_id = 0;
-  /// Whether misses populate the cache (lookups happen regardless). Off
-  /// for scans that should not wipe a working set.
-  bool cache_populate = true;
   /// When set and `encoded_filter(i)` is true, entry `i` skips decode
   /// entirely: the raw (compressed) BLOB bytes go to `consume_encoded`
-  /// instead of `consume`, and the cache is neither consulted for a
-  /// populate nor populated. Cache hits still win over the encoded path —
-  /// a decoded tile in memory beats re-walking the stream.
+  /// instead of `consume`, and the cache is not populated. Cache hits
+  /// still win over the encoded path — a decoded tile in memory beats
+  /// re-walking the stream.
   std::function<bool(size_t)> encoded_filter;
   std::function<Status(size_t, const std::vector<uint8_t>&)> consume_encoded;
 };
@@ -76,8 +72,8 @@ struct TileIOStats {
   /// totals must not depend on cache state — but contribute nothing to the
   /// measured io/decode times.
   uint64_t cache_hits = 0;
-  /// Per-tile retrieval time summed across tiles (exceeds the wall clock
-  /// when tiles are fetched concurrently).
+  /// Read time: summed per tile on the serial path, the one `GetBatch`
+  /// wave on the parallel path.
   double io_summed_ms = 0;
   /// Per-tile decode + consume time summed across tiles.
   double decode_summed_ms = 0;
@@ -117,33 +113,23 @@ class TileIOScheduler {
   /// Attach before sharing the scheduler across threads.
   void set_metrics(obs::MetricsRegistry* registry);
 
-  /// Fetches and decodes every entry of the batch, handing each tile to
-  /// `consume(i, tile)` where `i` indexes into `entries`. Tiles are
-  /// processed in ascending BLOB-id order; with `parallelism > 1`,
-  /// `consume` runs on worker threads and must be safe for concurrent
-  /// invocations with distinct `i` (invocations with the same `i` never
-  /// happen). The first error aborts the batch and is returned.
+  /// Fetches every entry of the batch, handing each decoded tile to
+  /// `consume(i, tile)` where `i` indexes into `entries`. Per entry, in
+  /// order of preference: cache hit (no BLOB read, no decode, not
+  /// re-inserted), encoded fast path (`options.encoded_filter` /
+  /// `consume_encoded`: raw BLOB bytes, no decode, never cached), or fetch
+  /// + decode + cache populate. Cache hits are served first; misses are
+  /// read in ascending BLOB-id order. With `parallelism > 1`, `consume`
+  /// runs on worker threads and must be safe for concurrent invocations
+  /// with distinct `i` (invocations with the same `i` never happen). The
+  /// referenced tile is only valid for the duration of the call — copy or
+  /// reduce, don't keep the pointer. Cache hits skip the measured
+  /// `scheduler.fetch_ms` histogram. The first error aborts the batch and
+  /// is returned.
   Status FetchBatch(std::span<const TileEntry> entries, CellType cell_type,
                     const TileIOOptions& options,
-                    const std::function<Status(size_t, Tile&&)>& consume,
+                    const std::function<Status(size_t, const Tile&)>& consume,
                     TileIOStats* stats = nullptr);
-
-  /// Cache-aware sibling of `FetchBatch`: tiles are handed out as
-  /// `const Tile&` so one decoded copy can be shared between the consumer
-  /// and the decoded-tile cache (`options.cache`). Per entry, in order of
-  /// preference: cache hit (no BLOB read, no decode, not re-inserted),
-  /// encoded fast path (`options.encoded_filter`/`consume_encoded`: raw
-  /// BLOB bytes, no decode, never cached), or fetch + decode with an
-  /// optional cache populate. Ordering, parallelism, error, and metrics
-  /// semantics match `FetchBatch`; cache hits skip the measured
-  /// `scheduler.fetch_ms` histogram. The referenced tile is only valid for
-  /// the duration of the `consume` call — copy or reduce, don't keep the
-  /// pointer.
-  Status FetchBatchShared(std::span<const TileEntry> entries,
-                          CellType cell_type, const TileIOOptions& options,
-                          const std::function<Status(size_t, const Tile&)>&
-                              consume,
-                          TileIOStats* stats = nullptr);
 
   /// Asynchronous single-tile fetch, the building block of the
   /// `TileScan` prefetch window. With a pool the work runs on a worker and
@@ -152,18 +138,17 @@ class TileIOScheduler {
   std::future<Result<Tile>> FetchAsync(const TileEntry& entry,
                                        CellType cell_type, ThreadPool* pool);
 
-  /// The serial decode pipeline (BLOB read, selective decompression, tile
-  /// construction) — shared by both paths and by `MDDObject::FetchTile`.
+  /// One tile end to end (BLOB read, selective decompression, tile
+  /// construction) — behind `FetchAsync` and `MDDObject::FetchTile`.
   /// `coalesce` selects the speculative run-coalesced BLOB read.
   Result<Tile> FetchOne(const TileEntry& entry, CellType cell_type,
-                        bool coalesce, TileIOStats* stats);
+                        bool coalesce);
 
  private:
   /// Decode half of `FetchOne`: selective decompression + tile
-  /// construction from an already-read BLOB payload. Used by the batched
-  /// parallel path, where the I/O happened in one `GetBatch` up front.
+  /// construction from an already-read BLOB payload.
   Result<Tile> DecodePayload(const TileEntry& entry, CellType cell_type,
-                             std::vector<uint8_t>&& data, TileIOStats* stats);
+                             std::vector<uint8_t>&& data);
 
   BlobStore* blobs_;
 

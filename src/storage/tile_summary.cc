@@ -126,42 +126,12 @@ std::optional<TileSummary> BuildTileSummary(CellType cell_type,
                                             const uint8_t* cells,
                                             uint64_t cell_count,
                                             const uint8_t* default_cell) {
-  switch (cell_type.id()) {
-    case CellTypeId::kUInt8:
-      return BuildTyped<uint8_t>(cells, cell_count, cell_type.size(),
-                                 default_cell);
-    case CellTypeId::kInt8:
-      return BuildTyped<int8_t>(cells, cell_count, cell_type.size(),
-                                default_cell);
-    case CellTypeId::kUInt16:
-      return BuildTyped<uint16_t>(cells, cell_count, cell_type.size(),
-                                  default_cell);
-    case CellTypeId::kInt16:
-      return BuildTyped<int16_t>(cells, cell_count, cell_type.size(),
-                                 default_cell);
-    case CellTypeId::kUInt32:
-      return BuildTyped<uint32_t>(cells, cell_count, cell_type.size(),
-                                  default_cell);
-    case CellTypeId::kInt32:
-      return BuildTyped<int32_t>(cells, cell_count, cell_type.size(),
-                                 default_cell);
-    case CellTypeId::kUInt64:
-      return BuildTyped<uint64_t>(cells, cell_count, cell_type.size(),
-                                  default_cell);
-    case CellTypeId::kInt64:
-      return BuildTyped<int64_t>(cells, cell_count, cell_type.size(),
-                                 default_cell);
-    case CellTypeId::kFloat32:
-      return BuildTyped<float>(cells, cell_count, cell_type.size(),
-                               default_cell);
-    case CellTypeId::kFloat64:
-      return BuildTyped<double>(cells, cell_count, cell_type.size(),
-                                default_cell);
-    case CellTypeId::kRGB8:
-    case CellTypeId::kOpaque:
-      return std::nullopt;
-  }
-  return std::nullopt;
+  std::optional<TileSummary> summary;
+  VisitNumericCellType(cell_type.id(), [&](auto t) {
+    summary = BuildTyped<decltype(t)>(cells, cell_count, cell_type.size(),
+                                      default_cell);
+  });
+  return summary;
 }
 
 std::optional<TileSummary> TileSummaryIndex::Lookup(uint64_t object_id,

@@ -169,19 +169,28 @@ TEST(QueryTraceTest, SerialQuerySpansNestInsideQuerySpan) {
   ASSERT_TRUE(object->Load(data, AlignedTiling::Regular(2, 1024)).ok());
   (void)store->trace()->Drain();
 
-  RangeQueryExecutor executor(store.get());
-  ASSERT_TRUE(executor.Execute(object, domain).ok());
+  // Unfiltered, then filtered: one pipeline, so the same span shape.
+  ValuePredicate pred;
+  pred.kind = ValuePredicate::Kind::kLess;
+  pred.a = 20;
+  for (const bool filtered : {false, true}) {
+    SCOPED_TRACE(filtered ? "filtered" : "unfiltered");
+    RangeQueryOptions options;
+    if (filtered) options.predicate = pred;
+    RangeQueryExecutor executor(store.get(), options);
+    ASSERT_TRUE(executor.Execute(object, domain).ok());
 
-  std::vector<TraceEvent> events = store->trace()->Drain();
-  ASSERT_FALSE(events.empty());
-  // Serial path: everything on one thread, "query" strictly outermost.
-  const uint32_t tid = events.front().thread_id;
-  for (const TraceEvent& e : events) EXPECT_EQ(e.thread_id, tid);
-  EXPECT_STREQ(events.front().name, "query");
-  EXPECT_TRUE(events.front().begin);
-  EXPECT_STREQ(events.back().name, "query");
-  EXPECT_FALSE(events.back().begin);
-  CheckPerThreadNesting(events);
+    std::vector<TraceEvent> events = store->trace()->Drain();
+    ASSERT_FALSE(events.empty());
+    // Serial path: everything on one thread, "query" strictly outermost.
+    const uint32_t tid = events.front().thread_id;
+    for (const TraceEvent& e : events) EXPECT_EQ(e.thread_id, tid);
+    EXPECT_STREQ(events.front().name, "query");
+    EXPECT_TRUE(events.front().begin);
+    EXPECT_STREQ(events.back().name, "query");
+    EXPECT_FALSE(events.back().begin);
+    CheckPerThreadNesting(events);
+  }
 
   store.reset();
   (void)RemoveFile(path);

@@ -11,6 +11,7 @@
 
 #include "query/range_query.h"
 #include "query/tile_scan.h"
+#include "storage/io_scheduler.h"
 #include "tiling/aligned.h"
 
 namespace tilestore {
@@ -29,6 +30,8 @@ class ConcurrentQueryTest : public ::testing::Test {
     MDDStoreOptions options;
     options.page_size = 512;
     options.worker_threads = 4;
+    // Predicates here run with summaries off: every tile is inspected.
+    options.tile_summaries = false;
     store_ = MDDStore::Create(path_, options).MoveValue();
 
     const MInterval domain({{0, 59}, {0, 59}});
@@ -130,8 +133,8 @@ TEST_F(ConcurrentQueryTest, ParallelAggregateIsBitIdenticalToSerial) {
 
 TEST_F(ConcurrentQueryTest, SerialSchedulerPathCostMatchesLegacyLoop) {
   // Replay the pre-scheduler fetch loop by hand and compare the disk-model
-  // charges against a cold `parallelism = 1` Execute: the refactor must
-  // reproduce the paper's cost numbers exactly.
+  // charges against a cold `parallelism = 1` query of every kind: the
+  // pipeline must reproduce the paper's cost numbers exactly.
   const MInterval region({{10, 49}, {20, 44}});
   DiskModel* disk = store_->disk_model();
 
@@ -149,16 +152,38 @@ TEST_F(ConcurrentQueryTest, SerialSchedulerPathCostMatchesLegacyLoop) {
   const uint64_t legacy_pages = disk->pages_read();
   const uint64_t legacy_seeks = disk->read_seeks();
 
-  RangeQueryOptions options;
-  options.cold = true;
-  RangeQueryExecutor executor(store_.get(), options);
-  QueryStats stats;
-  ASSERT_TRUE(executor.Execute(object_, region, &stats).ok());
-  EXPECT_EQ(stats.t_o_model_ms, legacy_read_ms);  // exact, not approximate
-  EXPECT_EQ(stats.pages_read, legacy_pages);
-  EXPECT_EQ(stats.seeks, legacy_seeks);
-  EXPECT_EQ(stats.parallelism, 1u);
-  EXPECT_EQ(stats.io_runs, 0u);  // serial path reads page by page
+  // Every cell matches `v > -1`; with summaries off (the fixture's store)
+  // every tile is inspected cell by cell, yet fetched exactly as above.
+  ValuePredicate match_all;
+  match_all.kind = ValuePredicate::Kind::kGreater;
+  match_all.a = -1;
+  for (const bool filtered : {false, true}) {
+    for (const bool aggregate : {false, true}) {
+      RangeQueryOptions options;
+      options.cold = true;
+      if (filtered) options.predicate = match_all;
+      RangeQueryExecutor executor(store_.get(), options);
+      QueryStats stats;
+      if (aggregate) {
+        ASSERT_TRUE(executor
+                        .ExecuteAggregate(object_, region, AggregateOp::kSum,
+                                          &stats)
+                        .ok());
+      } else {
+        ASSERT_TRUE(executor.Execute(object_, region, &stats).ok());
+      }
+      SCOPED_TRACE(std::string(aggregate ? "ExecuteAggregate" : "Execute") +
+                   (filtered ? " with match-all predicate" : ""));
+      EXPECT_EQ(stats.t_o_model_ms, legacy_read_ms);  // exact, not approximate
+      EXPECT_EQ(stats.pages_read, legacy_pages);
+      EXPECT_EQ(stats.seeks, legacy_seeks);
+      EXPECT_EQ(stats.parallelism, 1u);
+      EXPECT_EQ(stats.io_runs, 0u);  // serial path reads page by page
+      if (filtered) {
+        EXPECT_EQ(stats.summary_inspects, hits.size());
+      }
+    }
+  }
 }
 
 TEST_F(ConcurrentQueryTest, ParallelColdQueryTotalsMatchSerialTransfer) {
@@ -241,15 +266,28 @@ TEST_F(ConcurrentQueryTest, BatchedFetchTilesMatchesIndividualFetches) {
   }
 
   for (int parallelism : {1, 4}) {
+    TileIOOptions options;
+    options.parallelism = parallelism;
+    options.pool = store_->thread_pool();
+    std::vector<Tile> tiles(hits.size());
     TileIOStats io;
-    Result<std::vector<Tile>> tiles =
-        store_->FetchTiles(*object_, hits, parallelism, &io);
-    ASSERT_TRUE(tiles.ok()) << tiles.status();
-    ASSERT_EQ(tiles->size(), expected.size());
+    Status st = store_->io_scheduler()->FetchBatch(
+        hits, object_->cell_type(), options,
+        [&tiles](size_t i, const Tile& tile) {
+          Result<Tile> copy = Tile::FromBuffer(
+              tile.domain(), tile.cell_type(),
+              std::vector<uint8_t>(tile.data(),
+                                   tile.data() + tile.size_bytes()));
+          if (!copy.ok()) return copy.status();
+          tiles[i] = std::move(copy).MoveValue();
+          return Status::OK();
+        },
+        &io);
+    ASSERT_TRUE(st.ok()) << st;
     for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ((*tiles)[i].domain(), expected[i].domain());
-      ASSERT_EQ((*tiles)[i].size_bytes(), expected[i].size_bytes());
-      EXPECT_EQ(std::memcmp((*tiles)[i].data(), expected[i].data(),
+      EXPECT_EQ(tiles[i].domain(), expected[i].domain());
+      ASSERT_EQ(tiles[i].size_bytes(), expected[i].size_bytes());
+      EXPECT_EQ(std::memcmp(tiles[i].data(), expected[i].data(),
                             expected[i].size_bytes()),
                 0);
     }

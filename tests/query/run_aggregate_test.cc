@@ -1,12 +1,16 @@
 // Run-based aggregation kernels: AggregateRegion must be bit-identical to
 // slice-then-reduce, AggregateRleStream must be bit-identical to
 // decode-then-reduce (and reject malformed streams), and the query-level
-// kernels (run vs slice, RLE fast path, tile cache on/off, parallelism 1
-// and 8) must all produce the exact same doubles. Also pins the kAvg
-// divisor on partially covered regions to the *region* cell count.
+// kernels (run kernel, RLE fast path, tile cache on/off, parallelism 1 and
+// 8) must all produce the exact same doubles as a slice-then-reduce
+// reference. Also pins the kAvg divisor on partially covered regions to
+// the *region* cell count.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <optional>
 #include <vector>
 
 #include "test_paths.h"
@@ -174,10 +178,8 @@ class RunAggregateQueryTest : public ::testing::Test {
   }
 
   double Aggregate(MDDObject* obj, const MInterval& region, AggregateOp op,
-                   RangeQueryOptions::AggregateKernel kernel,
                    int parallelism, bool use_cache) {
     RangeQueryOptions options;
-    options.aggregate_kernel = kernel;
     options.parallelism = parallelism;
     options.use_tile_cache = use_cache;
     RangeQueryExecutor executor(store_.get(), options);
@@ -189,6 +191,92 @@ class RunAggregateQueryTest : public ::testing::Test {
   std::string path_;
   std::unique_ptr<MDDStore> store_;
 };
+
+// The bit-identity reference: the materialize-then-reduce kernel, run
+// cold by hand. Probe the index, fetch the hits one by one in BLOB order,
+// slice each tile's part and reduce it (kAvg as a running sum), then fold
+// the partials in that order and the uncovered cells as the default value.
+// `stats` gets the cost-model figures such a run charges.
+struct SliceReference {
+  double value = 0;
+  QueryStats stats;
+};
+
+SliceReference SliceAggregate(MDDStore* store, MDDObject* obj,
+                              const MInterval& region, AggregateOp op) {
+  SliceReference ref;
+  store->buffer_pool()->Clear();
+  store->disk_model()->Reset();
+  std::vector<TileEntry> hits = obj->FindTiles(region);
+  ref.stats.index_nodes_visited = obj->index()->last_nodes_visited();
+  std::sort(hits.begin(), hits.end(),
+            [](const TileEntry& a, const TileEntry& b) {
+              return a.blob < b.blob;
+            });
+  const AggregateOp tile_op =
+      op == AggregateOp::kAvg ? AggregateOp::kSum : op;
+  double sum = 0;
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+  double nonzero = 0;
+  uint64_t covered = 0;
+  for (const TileEntry& entry : hits) {
+    Result<Tile> tile = obj->FetchTile(entry);
+    EXPECT_TRUE(tile.ok()) << tile.status();
+    if (!tile.ok()) return ref;
+    ++ref.stats.tiles_accessed;
+    ref.stats.tile_bytes_read += tile->size_bytes();
+    const std::optional<MInterval> part = entry.domain.Intersection(region);
+    Result<Array> slice = tile->Slice(*part);
+    EXPECT_TRUE(slice.ok()) << slice.status();
+    if (!slice.ok()) return ref;
+    const double partial = AggregateCells(*slice, tile_op).value();
+    covered += part->CellCountOrDie();
+    sum += partial;
+    min = std::min(min, partial);
+    max = std::max(max, partial);
+    nonzero += partial;
+  }
+  const uint64_t uncovered = region.CellCountOrDie() - covered;
+  if (uncovered > 0) {
+    const double fill =
+        CellValueAsDouble(obj->cell_type(), obj->default_cell().data())
+            .value();
+    sum += fill * static_cast<double>(uncovered);
+    min = std::min(min, fill);
+    max = std::max(max, fill);
+    if (fill != 0.0) nonzero += static_cast<double>(uncovered);
+  }
+  switch (op) {
+    case AggregateOp::kSum:
+      ref.value = sum;
+      break;
+    case AggregateOp::kAvg:
+      ref.value = sum / static_cast<double>(region.CellCountOrDie());
+      break;
+    case AggregateOp::kMin:
+      ref.value = min;
+      break;
+    case AggregateOp::kMax:
+      ref.value = max;
+      break;
+    case AggregateOp::kCount:
+      ref.value = nonzero;
+      break;
+  }
+  const DiskModel* disk = store->disk_model();
+  const CostParams cost;
+  ref.stats.pages_read = disk->pages_read();
+  ref.stats.seeks = disk->read_seeks();
+  ref.stats.t_ix_model_ms =
+      static_cast<double>(ref.stats.index_nodes_visited) * cost.index_node_ms;
+  ref.stats.t_o_model_ms = disk->read_ms();
+  ref.stats.t_cpu_model_ms =
+      static_cast<double>(ref.stats.tile_bytes_read) /
+          (cost.cpu_process_mib_per_s * 1024.0 * 1024.0) * 1000.0 +
+      static_cast<double>(ref.stats.tiles_accessed) * cost.per_tile_cpu_ms;
+  return ref;
+}
 
 TEST_F(RunAggregateQueryTest, RunAndSliceKernelsAreBitIdentical) {
   const MInterval domain({{0, 39}, {0, 29}});
@@ -212,18 +300,13 @@ TEST_F(RunAggregateQueryTest, RunAndSliceKernelsAreBitIdentical) {
     const MInterval region = MInterval::Create(lo, hi).value();
     for (AggregateOp op : kAllOps) {
       const double reference =
-          Aggregate(obj, region, op,
-                    RangeQueryOptions::AggregateKernel::kSlice, 1, false);
-      for (auto kernel : {RangeQueryOptions::AggregateKernel::kRun,
-                          RangeQueryOptions::AggregateKernel::kSlice}) {
-        for (int parallelism : {1, 8}) {
-          for (bool use_cache : {false, true}) {
-            EXPECT_EQ(Aggregate(obj, region, op, kernel, parallelism,
-                                use_cache),
-                      reference)
-                << region.ToString() << " op " << AggregateOpToName(op)
-                << " p=" << parallelism << " cache=" << use_cache;
-          }
+          SliceAggregate(store_.get(), obj, region, op).value;
+      for (int parallelism : {1, 8}) {
+        for (bool use_cache : {false, true}) {
+          EXPECT_EQ(Aggregate(obj, region, op, parallelism, use_cache),
+                    reference)
+              << region.ToString() << " op " << AggregateOpToName(op)
+              << " p=" << parallelism << " cache=" << use_cache;
         }
       }
     }
@@ -250,13 +333,10 @@ TEST_F(RunAggregateQueryTest, RleFastPathIsBitIdentical) {
        {domain, MInterval({{5, 60}, {3, 58}}), MInterval({{0, 15}, {0, 63}})}) {
     for (AggregateOp op : kAllOps) {
       const double reference =
-          Aggregate(obj, region, op,
-                    RangeQueryOptions::AggregateKernel::kSlice, 1, false);
+          SliceAggregate(store_.get(), obj, region, op).value;
       for (int parallelism : {1, 8}) {
         for (bool use_cache : {false, true}) {
-          EXPECT_EQ(Aggregate(obj, region, op,
-                              RangeQueryOptions::AggregateKernel::kRun,
-                              parallelism, use_cache),
+          EXPECT_EQ(Aggregate(obj, region, op, parallelism, use_cache),
                     reference)
               << region.ToString() << " op " << AggregateOpToName(op)
               << " p=" << parallelism << " cache=" << use_cache;
@@ -287,24 +367,30 @@ TEST_F(RunAggregateQueryTest, AvgOverUncoveredRegionDividesByRegionCells) {
   Array far = Array::Create(MInterval({{90, 99}}), obj->cell_type()).value();
   ASSERT_TRUE(obj->InsertTile(far).ok());
 
-  for (auto kernel : {RangeQueryOptions::AggregateKernel::kRun,
-                      RangeQueryOptions::AggregateKernel::kSlice}) {
-    for (int parallelism : {1, 8}) {
-      // [0:29]: 10 cells of 10 and 20 default cells of 2 -> sum 140 over
-      // 30 region cells.
-      EXPECT_EQ(Aggregate(obj, MInterval({{0, 29}}), AggregateOp::kAvg,
-                          kernel, parallelism, true),
-                140.0 / 30.0);
-      // Fully uncovered region: average is exactly the default value.
-      EXPECT_EQ(Aggregate(obj, MInterval({{40, 69}}), AggregateOp::kAvg,
-                          kernel, parallelism, true),
-                2.0);
-    }
+  // [0:29]: 10 cells of 10 and 20 default cells of 2 -> sum 140 over 30
+  // region cells. Fully uncovered region: average is exactly the default
+  // value.
+  EXPECT_EQ(SliceAggregate(store_.get(), obj, MInterval({{0, 29}}),
+                           AggregateOp::kAvg)
+                .value,
+            140.0 / 30.0);
+  EXPECT_EQ(SliceAggregate(store_.get(), obj, MInterval({{40, 69}}),
+                           AggregateOp::kAvg)
+                .value,
+            2.0);
+  for (int parallelism : {1, 8}) {
+    EXPECT_EQ(Aggregate(obj, MInterval({{0, 29}}), AggregateOp::kAvg,
+                        parallelism, true),
+              140.0 / 30.0);
+    EXPECT_EQ(Aggregate(obj, MInterval({{40, 69}}), AggregateOp::kAvg,
+                        parallelism, true),
+              2.0);
   }
 }
 
 // Cold cost-model guard: opening the store with a tile-cache budget (and
-// running the run kernel) must not change any cold-run cost-model number —
+// running the run kernel) must not change any cold-run cost-model number
+// against the slice reference —
 // the cache is bypassed on cold runs and the encoded fast path charges the
 // logical decoded tile size.
 TEST_F(RunAggregateQueryTest, ColdCostModelUnchangedByCacheAndKernel) {
@@ -332,11 +418,9 @@ TEST_F(RunAggregateQueryTest, ColdCostModelUnchangedByCacheAndKernel) {
   MDDObject* cached_obj = load(store_.get());
   MDDObject* plain_obj = load(plain.get());
 
-  auto cold_stats = [&](MDDStore* store, MDDObject* obj,
-                        RangeQueryOptions::AggregateKernel kernel) {
+  auto cold_stats = [&](MDDStore* store, MDDObject* obj) {
     RangeQueryOptions options;
     options.cold = true;
-    options.aggregate_kernel = kernel;
     RangeQueryExecutor executor(store, options);
     QueryStats stats;
     EXPECT_TRUE(
@@ -346,22 +430,18 @@ TEST_F(RunAggregateQueryTest, ColdCostModelUnchangedByCacheAndKernel) {
   };
 
   const QueryStats slice =
-      cold_stats(plain.get(), plain_obj,
-                 RangeQueryOptions::AggregateKernel::kSlice);
-  for (auto kernel : {RangeQueryOptions::AggregateKernel::kRun,
-                      RangeQueryOptions::AggregateKernel::kSlice}) {
-    for (MDDStore* store : {store_.get(), plain.get()}) {
-      const QueryStats got = cold_stats(
-          store, store == store_.get() ? cached_obj : plain_obj, kernel);
-      EXPECT_EQ(got.tiles_accessed, slice.tiles_accessed);
-      EXPECT_EQ(got.tile_bytes_read, slice.tile_bytes_read);
-      EXPECT_EQ(got.pages_read, slice.pages_read);
-      EXPECT_EQ(got.seeks, slice.seeks);
-      EXPECT_EQ(got.tilecache_hits, 0u);
-      EXPECT_EQ(got.t_ix_model_ms, slice.t_ix_model_ms);
-      EXPECT_EQ(got.t_o_model_ms, slice.t_o_model_ms);
-      EXPECT_EQ(got.t_cpu_model_ms, slice.t_cpu_model_ms);
-    }
+      SliceAggregate(plain.get(), plain_obj, domain, AggregateOp::kSum).stats;
+  for (MDDStore* store : {store_.get(), plain.get()}) {
+    const QueryStats got =
+        cold_stats(store, store == store_.get() ? cached_obj : plain_obj);
+    EXPECT_EQ(got.tiles_accessed, slice.tiles_accessed);
+    EXPECT_EQ(got.tile_bytes_read, slice.tile_bytes_read);
+    EXPECT_EQ(got.pages_read, slice.pages_read);
+    EXPECT_EQ(got.seeks, slice.seeks);
+    EXPECT_EQ(got.tilecache_hits, 0u);
+    EXPECT_EQ(got.t_ix_model_ms, slice.t_ix_model_ms);
+    EXPECT_EQ(got.t_o_model_ms, slice.t_o_model_ms);
+    EXPECT_EQ(got.t_cpu_model_ms, slice.t_cpu_model_ms);
   }
 
   plain.reset();

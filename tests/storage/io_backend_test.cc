@@ -95,6 +95,36 @@ TEST_F(IoBackendTest, IoUringBatchMatchesSequentialReads) {
   CheckBatchMatchesSequential(backend.get(), file.get());
 }
 
+// A batch larger than the submission queue refills the ring in rounds;
+// each round may wait only for what is actually in flight.
+TEST_F(IoBackendTest, IoUringBatchLargerThanQueueDepthCompletes) {
+  if (!IoUringBackend::Available()) {
+    GTEST_SKIP() << "io_uring unavailable on this kernel";
+  }
+  auto file = MakeFile(64 * 1024);
+  auto backend = IoUringBackend::Create(/*queue_depth=*/8).MoveValue();
+  constexpr size_t kOps = 150;
+  std::vector<std::vector<uint8_t>> batched(kOps);
+  std::vector<ReadOp> ops(kOps);
+  for (size_t i = 0; i < kOps; ++i) {
+    // Out of order, of varying size, some overlapping.
+    const uint64_t offset = (i * 7919) % (60 * 1024);
+    batched[i].assign(1 + (i * 37) % 3000, 0);
+    ops[i].file = file.get();
+    ops[i].offset = offset;
+    ops[i].size = batched[i].size();
+    ops[i].out = batched[i].data();
+  }
+  ASSERT_TRUE(backend->SubmitBatch(std::span<ReadOp>(ops)).ok());
+  for (size_t i = 0; i < kOps; ++i) {
+    EXPECT_TRUE(ops[i].status.ok()) << "op " << i;
+    std::vector<uint8_t> expected(batched[i].size());
+    ASSERT_TRUE(
+        file->ReadAt(ops[i].offset, expected.size(), expected.data()).ok());
+    EXPECT_EQ(batched[i], expected) << "op " << i;
+  }
+}
+
 TEST_F(IoBackendTest, ShortReadIsAnErrorOnEveryBackend) {
   auto file = MakeFile(1000);
   std::vector<IoBackend*> backends;
@@ -222,24 +252,42 @@ QueryOutcome RunWorkload(const std::string& path, IoBackend* backend) {
       MInterval({{0, 9}, {0, 9}}),
       MInterval({{30, 59}, {0, 29}}),
   };
+  // A second input whose cold p=4 fetch wave holds more read ops than
+  // io_uring's default 64-entry queue: 100 multi-page tiles, so 100
+  // header reads that cannot merge into one run.
+  const MInterval wide_domain({{0, 159}, {0, 159}});
+  Array wide = Array::Create(wide_domain, data.cell_type()).value();
+  ForEachPoint(wide_domain, [&](const Point& p) {
+    wide.Set<uint32_t>(p, v += 40503u * static_cast<uint32_t>(p[0] + 1));
+  });
+  MDDObject* wide_object =
+      store->CreateMDD("wide", wide_domain, wide.cell_type()).value();
+  EXPECT_TRUE(wide_object->Load(wide, AlignedTiling::Regular(2, 1024)).ok());
+  EXPECT_GT(wide_object->FindTiles(wide_domain).size(), 64u);
+
   QueryOutcome outcome;
-  for (const MInterval& region : regions) {
+  auto run = [&](MDDObject* target, const MInterval& region) {
     for (const int parallelism : {1, 4}) {
       RangeQueryOptions query_options;
       query_options.cold = true;  // cost-model regime: physical retrieval
       query_options.parallelism = parallelism;
       RangeQueryExecutor executor(store.get(), query_options);
       QueryStats stats;
-      Result<Array> result = executor.Execute(object, region, &stats);
+      Result<Array> result = executor.Execute(target, region, &stats);
       EXPECT_TRUE(result.ok());
       if (!result.ok()) continue;
+      if (parallelism > 1 && target == wide_object) {
+        EXPECT_GT(stats.io_runs, 64u);
+      }
       outcome.results.emplace_back(
           result->data(), result->data() + result->size_bytes());
       outcome.model_ms.push_back(stats.t_o_model_ms);
       outcome.pages.push_back(stats.pages_read);
       outcome.seeks.push_back(stats.seeks);
     }
-  }
+  };
+  for (const MInterval& region : regions) run(object, region);
+  run(wide_object, wide_domain);
   store.reset();
   (void)RemoveFile(path);
   return outcome;

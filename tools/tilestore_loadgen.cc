@@ -430,6 +430,14 @@ double Percentile(std::vector<double>* sorted, double p) {
   return (*sorted)[std::min(idx, sorted->size() - 1)];
 }
 
+/// Successful requests per second: failed requests (refused connections,
+/// errors, overload rejections) do no work, so a run against a dead port
+/// reports 0 req/s.
+double SuccessRate(int requests, int failures, double elapsed_sec) {
+  const int ok = std::max(requests - failures, 0);
+  return elapsed_sec > 0 ? ok / elapsed_sec : 0;
+}
+
 /// Writes the report row; the metrics snapshot JSON from the server is
 /// embedded verbatim (it is single-line by design). `--append` reopens an
 /// existing array and adds the row, so comparison runs (thread vs
@@ -463,7 +471,7 @@ bool WriteReport(const Flags& flags, int shards, int total_requests,
   }
   std::FILE* out = std::fopen(flags.out.c_str(), "w");
   if (out == nullptr) return false;
-  const double rps = elapsed_sec > 0 ? total_requests / elapsed_sec : 0;
+  const double rps = SuccessRate(total_requests, failures, elapsed_sec);
   std::fputs(prefix.c_str(), out);
   std::fprintf(out,
                "  {\"bench\": \"tilestore_loadgen\", "
@@ -557,7 +565,7 @@ int main(int argc, char** argv) {
       flags.clients, flags.requests, range_queries, filter_queries,
       aggregates, failures);
   std::printf("  %.1f req/s, latency p50 %.2f ms, p90 %.2f ms, p99 %.2f ms\n",
-              elapsed_sec > 0 ? total / elapsed_sec : 0, p50, p90, p99);
+              SuccessRate(total, failures, elapsed_sec), p50, p90, p99);
   if (failures > 0) {
     std::fprintf(stderr, "first error: %s\n", first_error.c_str());
   }
