@@ -8,6 +8,11 @@
 // Correctness guard: the full-domain bytes are compared after every
 // migration; a migration that changes a single cell fails the bench.
 //
+// Gate: each migration must cut the hotspot query's deterministic warm
+// model cost (`ReadPathSample::model_ms`) by at least kMinModelGain,
+// otherwise the bench exits 1. Wall-clock qps is printed for information
+// only; at µs per query it is too noisy to gate on.
+//
 // Output: human-readable tables, plus BENCH_retile.json holding the
 // before/after throughput samples and the store's metrics snapshot (the
 // retile.* counters embedded for the perf trajectory).
@@ -31,6 +36,11 @@
 namespace tilestore {
 namespace bench {
 namespace {
+
+/// Smallest accepted before/after `model_ms` ratio per migration. The
+/// ratios are deterministic: 1.47x and 1.75x on the full run, 2.45x and
+/// 2.24x on --smoke.
+constexpr double kMinModelGain = 1.4;
 
 TilingSpec Strips(Coord lo, Coord hi, Coord cells) {
   TilingSpec spec;
@@ -159,12 +169,18 @@ int Main(int argc, char** argv) {
                               ? after2[0].queries_per_sec /
                                     before2[0].queries_per_sec
                               : 0.0;
-  std::printf("\nwarm hotspot qps after/before migration 1: %.2fx\n",
-              speedup1);
-  std::printf("warm hotspot qps after/before migration 2: %.2fx\n", speedup2);
-  std::printf("expected: >= 1.5x — the hotspot now fetches its own small "
+  const double model_gain1 = before1[0].model_ms / after1[0].model_ms;
+  const double model_gain2 = before2[0].model_ms / after2[0].model_ms;
+  std::printf("\nwarm hotspot model_ms before/after migration 1: %.2fx\n",
+              model_gain1);
+  std::printf("warm hotspot model_ms before/after migration 2: %.2fx\n",
+              model_gain2);
+  std::printf("gate: >= %.2fx each — the hotspot now fetches its own small "
               "tiles instead of dragging whole %lld-cell strips in.\n",
-              static_cast<long long>(coarse));
+              kMinModelGain, static_cast<long long>(coarse));
+  std::printf("(information only) warm hotspot qps after/before: "
+              "%.2fx, %.2fx\n",
+              speedup1, speedup2);
 
   // Snapshot while the store is alive: carries the retile.* counters of
   // both migrations alongside the query/pool/disk activity.
@@ -182,6 +198,13 @@ int Main(int argc, char** argv) {
     return 1;
   }
   std::printf("merged into BENCH_retile.json\n");
+  if (!(model_gain1 >= kMinModelGain && model_gain2 >= kMinModelGain)) {
+    std::fprintf(stderr,
+                 "retile: model_ms gain %.2fx / %.2fx is below the %.2fx "
+                 "gate\n",
+                 model_gain1, model_gain2, kMinModelGain);
+    return 1;
+  }
   return 0;
 }
 

@@ -218,11 +218,6 @@ Result<ServerConfig> ServerConfig::FromArgs(int argc, char** argv) {
     if (!v.ok()) return v.status();
     if (*v) server.loopback_only = false;
   }
-  {
-    Result<bool> v = set.Switch("event-loop");
-    if (!v.ok()) return v.status();
-    if (*v) server.event_loop = true;
-  }
 
   // Re-tiler knobs.
   {
@@ -339,7 +334,7 @@ const char* ServerConfig::FlagHelp() {
   return "  serve  <db> [--port=N] [--threads=N] [--max-inflight=N]\n"
          "         [--queue=N] [--request-timeout-ms=N] [--idle-timeout-ms=N]\n"
          "         [--parallelism=N] [--tile-cache-mb=N] [--all-interfaces]\n"
-         "         [--event-loop] [--workers=N] [--max-connections=N]\n"
+         "         [--workers=N] [--max-connections=N]\n"
          "         [--io-backend=auto|pread|uring] [--summaries=on|off]\n"
          "         [--auto-retile] [--retile-poll-ms=N]\n"
          "         [--retile-min-queries=N] [--retile-min-improvement=X]\n"

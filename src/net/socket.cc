@@ -18,7 +18,7 @@ namespace net {
 namespace {
 
 // Poll slice: the longest a blocking call stays in the kernel before
-// re-checking its deadline and cancellation flag.
+// re-checking its deadline.
 constexpr int kPollSliceMs = 100;
 
 std::string ErrnoMessage(const std::string& context) {
@@ -26,13 +26,9 @@ std::string ErrnoMessage(const std::string& context) {
 }
 
 // Waits for `events` on `fd` until `deadline`. Returns 1 when ready, 0 on
-// deadline, -1 on poll error (errno set), -2 when cancelled.
-int WaitReady(int fd, short events, Deadline deadline,
-              const std::atomic<bool>* cancel) {
+// deadline, -1 on poll error (errno set).
+int WaitReady(int fd, short events, Deadline deadline) {
   for (;;) {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      return -2;
-    }
     int slice = kPollSliceMs;
     if (deadline != Deadline::max()) {
       const auto now = std::chrono::steady_clock::now();
@@ -53,7 +49,7 @@ int WaitReady(int fd, short events, Deadline deadline,
       return -1;
     }
     if (rc > 0) return 1;
-    // rc == 0: slice elapsed; loop re-checks deadline and cancel.
+    // rc == 0: slice elapsed; loop re-checks the deadline.
   }
 }
 
@@ -102,7 +98,7 @@ Result<Socket> Socket::ConnectTcp(const std::string& host, uint16_t port,
     SetNonBlocking(fd);
     int rc = ::connect(fd, ai->ai_addr, ai->ai_addrlen);
     if (rc != 0 && errno == EINPROGRESS) {
-      const int ready = WaitReady(fd, POLLOUT, deadline, nullptr);
+      const int ready = WaitReady(fd, POLLOUT, deadline);
       if (ready == 0) {
         ::close(fd);
         last = Status::DeadlineExceeded("connect to " + host + ":" +
@@ -140,13 +136,11 @@ Result<Socket> Socket::ConnectTcp(const std::string& host, uint16_t port,
   return last;
 }
 
-Status Socket::SendAll(const uint8_t* data, size_t n, Deadline deadline,
-                       const std::atomic<bool>* cancel) {
+Status Socket::SendAll(const uint8_t* data, size_t n, Deadline deadline) {
   size_t done = 0;
   while (done < n) {
-    const int ready = WaitReady(fd_, POLLOUT, deadline, cancel);
+    const int ready = WaitReady(fd_, POLLOUT, deadline);
     if (ready == 0) return Status::DeadlineExceeded("send timed out");
-    if (ready == -2) return Status::Unavailable("send cancelled");
     if (ready < 0) return Status::IOError(ErrnoMessage("poll send"));
     const ssize_t put =
         ::send(fd_, data + done, n - done, MSG_NOSIGNAL);
@@ -159,13 +153,11 @@ Status Socket::SendAll(const uint8_t* data, size_t n, Deadline deadline,
   return Status::OK();
 }
 
-Status Socket::RecvAll(uint8_t* out, size_t n, Deadline deadline,
-                       const std::atomic<bool>* cancel) {
+Status Socket::RecvAll(uint8_t* out, size_t n, Deadline deadline) {
   size_t done = 0;
   while (done < n) {
-    const int ready = WaitReady(fd_, POLLIN, deadline, cancel);
+    const int ready = WaitReady(fd_, POLLIN, deadline);
     if (ready == 0) return Status::DeadlineExceeded("recv timed out");
-    if (ready == -2) return Status::Unavailable("recv cancelled");
     if (ready < 0) return Status::IOError(ErrnoMessage("poll recv"));
     const ssize_t got = ::recv(fd_, out + done, n - done, 0);
     if (got < 0) {
@@ -200,10 +192,6 @@ Result<size_t> Socket::SendSome(const uint8_t* data, size_t n) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) return size_t{0};
     return Status::IOError(ErrnoMessage("send"));
   }
-}
-
-void Socket::ShutdownBoth() {
-  if (fd_ >= 0) (void)::shutdown(fd_, SHUT_RDWR);
 }
 
 void Socket::Close() {
@@ -262,28 +250,6 @@ Result<Listener> Listener::Bind(uint16_t port, int backlog,
   return listener;
 }
 
-Result<Socket> Listener::Accept(int timeout_ms) {
-  const Deadline deadline = DeadlineAfterMs(timeout_ms);
-  for (;;) {
-    const int ready = WaitReady(fd_, POLLIN, deadline, nullptr);
-    if (ready == 0) return Status::DeadlineExceeded("accept timed out");
-    if (ready < 0) return Status::IOError(ErrnoMessage("poll accept"));
-    const int fd = ::accept(fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return Status::IOError(ErrnoMessage("accept"));
-    }
-    // accept() does not inherit O_NONBLOCK from the listener on Linux.
-    // SendAll/RecvAll's deadline loop relies on partial-write EAGAIN
-    // semantics; a blocking fd would park the connection thread in the
-    // kernel past both the deadline and the stop flag.
-    SetNonBlocking(fd);
-    int one = 1;
-    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    return Socket(fd);
-  }
-}
-
 Result<Socket> Listener::AcceptNonBlocking() {
   for (;;) {
     const int fd = ::accept(fd_, nullptr, nullptr);
@@ -294,6 +260,8 @@ Result<Socket> Listener::AcceptNonBlocking() {
       }
       return Status::IOError(ErrnoMessage("accept"));
     }
+    // accept() does not inherit O_NONBLOCK from the listener on Linux, and
+    // the event loop's RecvSome/SendSome must never block its thread.
     SetNonBlocking(fd);
     int one = 1;
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));

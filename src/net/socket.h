@@ -1,7 +1,6 @@
 #ifndef TILESTORE_NET_SOCKET_H_
 #define TILESTORE_NET_SOCKET_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -21,10 +20,9 @@ Deadline DeadlineAfterMs(int ms);
 
 /// \brief RAII TCP socket with deadline-bounded blocking I/O.
 ///
-/// All blocking operations poll in short slices so they can honour both a
-/// deadline (-> `DeadlineExceeded`) and an optional cancellation flag
-/// (-> `Unavailable`), which is how the server interrupts connections
-/// parked in a read during shutdown without resorting to signals.
+/// Blocking operations (the client side) honour a deadline
+/// (-> `DeadlineExceeded`); the server drives the non-blocking
+/// `RecvSome`/`SendSome` from its event loop.
 class Socket {
  public:
   Socket() = default;
@@ -44,16 +42,13 @@ class Socket {
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
-  /// Writes exactly `n` bytes or fails. `cancel`, when set and observed
-  /// true, aborts with `Unavailable`.
-  Status SendAll(const uint8_t* data, size_t n, Deadline deadline,
-                 const std::atomic<bool>* cancel = nullptr);
+  /// Writes exactly `n` bytes or fails.
+  Status SendAll(const uint8_t* data, size_t n, Deadline deadline);
 
   /// Reads exactly `n` bytes or fails. A peer close before the first byte
   /// yields `NotFound("eof")` (a clean end-of-stream the caller can treat
   /// as a normal hangup); a close mid-message is an `IOError`.
-  Status RecvAll(uint8_t* out, size_t n, Deadline deadline,
-                 const std::atomic<bool>* cancel = nullptr);
+  Status RecvAll(uint8_t* out, size_t n, Deadline deadline);
 
   /// Non-blocking single read for event-loop use: returns the bytes read
   /// (> 0), 0 when the call would block, `NotFound("eof")` on a clean peer
@@ -64,9 +59,6 @@ class Socket {
   /// Non-blocking single write: bytes written (> 0) or 0 when the call
   /// would block.
   Result<size_t> SendSome(const uint8_t* data, size_t n);
-
-  /// Shuts down both directions (wakes a peer blocked in a read).
-  void ShutdownBoth();
 
   void Close();
 
@@ -91,10 +83,6 @@ class Listener {
   Listener& operator=(Listener&& other) noexcept;
   Listener(const Listener&) = delete;
   Listener& operator=(const Listener&) = delete;
-
-  /// Accepts one connection, waiting at most `timeout_ms`
-  /// (-> `DeadlineExceeded` when nothing arrived).
-  Result<Socket> Accept(int timeout_ms);
 
   /// Accepts one pending connection without waiting; `DeadlineExceeded`
   /// when none is queued. Event-loop companion to registering `fd()` for

@@ -33,6 +33,21 @@ Status CorruptPayload(const char* what) {
   return Status::Corruption(std::string("wire payload: ") + what);
 }
 
+/// Reads a u64-length-prefixed cell buffer. The length is checked against
+/// the bytes actually left in `payload` before anything is allocated, so a
+/// hostile length costs nothing beyond the frame itself.
+Status ReadCells(ByteReader* r, const std::vector<uint8_t>& payload,
+                 std::vector<uint8_t>* out) {
+  uint64_t n = 0;
+  Status st = r->U64(&n);
+  if (!st.ok()) return st;
+  if (n > payload.size() - r->position()) {
+    return CorruptPayload("cell length exceeds payload size");
+  }
+  out->resize(static_cast<size_t>(n));
+  return r->Bytes(out->data(), out->size());
+}
+
 }  // namespace
 
 std::string_view WireOpName(WireOp op) {
@@ -276,12 +291,7 @@ Status DecodeInsertTilesRequest(const std::vector<uint8_t>& payload,
     WireTile tile;
     st = ReadIntervalWire(&r, &tile.domain);
     if (!st.ok()) return st;
-    uint64_t n = 0;
-    st = r.U64(&n);
-    if (!st.ok()) return st;
-    if (n > kMaxPayloadBytes) return CorruptPayload("oversized tile");
-    tile.cells.resize(static_cast<size_t>(n));
-    st = r.Bytes(tile.cells.data(), tile.cells.size());
+    st = ReadCells(&r, payload, &tile.cells);
     if (!st.ok()) return st;
     out->tiles.push_back(std::move(tile));
   }
@@ -519,12 +529,7 @@ Status DecodeRangeQueryResponse(const std::vector<uint8_t>& payload,
   if (!st.ok()) return st;
   st = r.U8(&out->cell_type_id);
   if (!st.ok()) return st;
-  uint64_t n = 0;
-  st = r.U64(&n);
-  if (!st.ok()) return st;
-  if (n > kMaxPayloadBytes) return CorruptPayload("oversized result");
-  out->cells.resize(static_cast<size_t>(n));
-  return r.Bytes(out->cells.data(), out->cells.size());
+  return ReadCells(&r, payload, &out->cells);
 }
 
 Status DecodeAggregateResponse(const std::vector<uint8_t>& payload,
@@ -630,12 +635,7 @@ Status DecodeFilterQueryResponse(const std::vector<uint8_t>& payload,
   if (!st.ok()) return st;
   st = r.U8(&out->cell_type_id);
   if (!st.ok()) return st;
-  uint64_t n = 0;
-  st = r.U64(&n);
-  if (!st.ok()) return st;
-  if (n > kMaxPayloadBytes) return CorruptPayload("oversized result");
-  out->cells.resize(static_cast<size_t>(n));
-  return r.Bytes(out->cells.data(), out->cells.size());
+  return ReadCells(&r, payload, &out->cells);
 }
 
 std::vector<uint8_t> EncodeCompactResponse(const CompactResponse& resp) {

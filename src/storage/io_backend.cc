@@ -14,11 +14,9 @@
 #include <linux/io_uring.h>
 #include <sys/mman.h>
 #include <sys/syscall.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #endif
 
 namespace tilestore {
@@ -95,12 +93,6 @@ int SysIoUringEnter(int fd, unsigned to_submit, unsigned min_complete,
                                     min_complete, flags, nullptr, 0));
 }
 
-int SysIoUringRegister(int fd, unsigned opcode, const void* arg,
-                       unsigned nr_args) {
-  return static_cast<int>(
-      ::syscall(__NR_io_uring_register, fd, opcode, arg, nr_args));
-}
-
 inline unsigned LoadAcquire(const unsigned* p) {
   return __atomic_load_n(p, __ATOMIC_ACQUIRE);
 }
@@ -134,57 +126,6 @@ struct IoUringBackend::Ring {
   unsigned* cq_tail = nullptr;
   unsigned cq_mask = 0;
   io_uring_cqe* cqes = nullptr;
-
-  // Registered-resource fast path (DESIGN.md §10): pre-registered fds
-  // (IOSQE_FIXED_FILE skips the per-op fdget/fdput) and a small pool of
-  // pre-registered buffer slots (IORING_OP_READ_FIXED skips the per-op
-  // page pinning; completions copy out). Both are probe-gated at setup
-  // and fall back silently — a run that cannot use them submits as a
-  // plain IORING_OP_READ on the raw fd, byte-identically. The
-  // TILESTORE_IO_URING_FIXED env var (0/off/false) disables the whole
-  // fast path for A/B measurement.
-  static constexpr unsigned kBufferSlots = 8;
-  static constexpr size_t kSlotBytes = 256 * 1024;
-  bool want_fixed = false;         // env override resolved at setup
-  bool buffers_registered = false;
-  bool files_registered = false;
-  bool fixed_broken = false;       // kernel rejected a fixed op: stop trying
-  uint32_t free_slots = 0;         // bitmask over kBufferSlots
-  std::vector<uint8_t> pool;       // slot storage, pinned while registered
-  std::vector<int> registered_files;  // fd table as last registered
-
-  /// (Re)registers the batch's fd set when it changed since the last
-  /// batch. A store reads from a handful of long-lived files (page file,
-  /// WAL), so this settles after the first batch and subsequent calls are
-  /// a sorted compare. Caller holds `mu_` with the ring idle, which makes
-  /// the whole-table swap safe.
-  void EnsureFilesRegistered(std::span<ReadOp> ops) {
-    if (!want_fixed || fixed_broken) return;
-    std::vector<int> fds;
-    for (const ReadOp& op : ops) {
-      const int op_fd = op.file->fd();
-      if (std::find(fds.begin(), fds.end(), op_fd) == fds.end()) {
-        fds.push_back(op_fd);
-      }
-    }
-    std::sort(fds.begin(), fds.end());
-    if (files_registered && fds == registered_files) return;
-    // A table this large would churn; fixed files stop paying off anyway.
-    if (fds.size() > 64) return;
-    if (files_registered) {
-      (void)SysIoUringRegister(fd, IORING_UNREGISTER_FILES, nullptr, 0);
-      files_registered = false;
-      registered_files.clear();
-    }
-    if (SysIoUringRegister(fd, IORING_REGISTER_FILES, fds.data(),
-                           static_cast<unsigned>(fds.size())) == 0) {
-      files_registered = true;
-      registered_files = std::move(fds);
-    } else {
-      // Kernel or policy refused; don't retry every batch.
-      want_fixed = buffers_registered;
-    }
-  }
 
   ~Ring() {
     if (sqe_mmap != nullptr) ::munmap(sqe_mmap, sqe_mmap_len);
@@ -258,31 +199,6 @@ Result<std::unique_ptr<IoUringBackend>> IoUringBackend::Create(
       *reinterpret_cast<unsigned*>(cq_base + params.cq_off.ring_mask);
   ring->cqes = reinterpret_cast<io_uring_cqe*>(cq_base + params.cq_off.cqes);
 
-  // Registered-buffer pool. Registration can fail for benign reasons
-  // (RLIMIT_MEMLOCK on older kernels, seccomp denying io_uring_register);
-  // every failure just leaves the plain READ path in place.
-  const char* fixed_env = std::getenv("TILESTORE_IO_URING_FIXED");
-  ring->want_fixed =
-      fixed_env == nullptr ||
-      (std::strcmp(fixed_env, "0") != 0 && std::strcmp(fixed_env, "off") != 0 &&
-       std::strcmp(fixed_env, "false") != 0);
-  if (ring->want_fixed) {
-    ring->pool.resize(Ring::kBufferSlots * Ring::kSlotBytes);
-    iovec iov[Ring::kBufferSlots];
-    for (unsigned i = 0; i < Ring::kBufferSlots; ++i) {
-      iov[i].iov_base = ring->pool.data() + i * Ring::kSlotBytes;
-      iov[i].iov_len = Ring::kSlotBytes;
-    }
-    if (SysIoUringRegister(fd, IORING_REGISTER_BUFFERS, iov,
-                           Ring::kBufferSlots) == 0) {
-      ring->buffers_registered = true;
-      ring->free_slots = (1u << Ring::kBufferSlots) - 1;
-    } else {
-      ring->pool.clear();
-      ring->pool.shrink_to_fit();
-    }
-  }
-
   return std::unique_ptr<IoUringBackend>(new IoUringBackend(std::move(ring)));
 }
 
@@ -298,11 +214,6 @@ IoUringBackend::IoUringBackend(std::unique_ptr<Ring> ring)
     : ring_(std::move(ring)) {}
 
 IoUringBackend::~IoUringBackend() = default;
-
-bool IoUringBackend::fixed_buffers_active() const {
-  return ring_->want_fixed && ring_->buffers_registered &&
-         !ring_->fixed_broken;
-}
 
 Status IoUringBackend::SubmitBatch(std::span<ReadOp> ops) {
   // Resolve injected faults and oversized ops before touching the ring so
@@ -327,12 +238,6 @@ Status IoUringBackend::SubmitBatch(std::span<ReadOp> ops) {
 
   std::lock_guard<std::mutex> lock(mu_);
   Ring& ring = *ring_;
-  ring.EnsureFilesRegistered(ops);
-  // Which registered-buffer slot each op read into (-1 = direct into
-  // op.out), and whether the op went through any fixed-resource path (so
-  // a kernel rejection can fall back to ReadAt instead of failing).
-  std::vector<int8_t> slot_of(ops.size(), -1);
-  std::vector<uint8_t> fastpath(ops.size(), 0);
   size_t next = 0;  // next op to place into the ring
   // SQEs submitted but not yet reaped. Only these can complete, so they
   // bound the wait: a batch larger than the ring refills it in rounds.
@@ -351,44 +256,9 @@ Status IoUringBackend::SubmitBatch(std::span<ReadOp> ops) {
       const unsigned idx = tail & ring.sq_mask;
       io_uring_sqe* sqe = &ring.sqes[idx];
       std::memset(sqe, 0, sizeof(*sqe));
-      const bool fixed_ok = ring.want_fixed && !ring.fixed_broken;
-      // READ_FIXED from a free pre-registered slot when the run fits;
-      // larger runs (or slot exhaustion mid-batch) take the plain path.
-      int slot = -1;
-      if (fixed_ok && ring.buffers_registered &&
-          op.size <= Ring::kSlotBytes && ring.free_slots != 0) {
-        slot = __builtin_ctz(ring.free_slots);
-        ring.free_slots &= ~(1u << slot);
-      }
-      if (slot >= 0) {
-        sqe->opcode = IORING_OP_READ_FIXED;
-        sqe->addr = reinterpret_cast<uint64_t>(
-            ring.pool.data() + static_cast<size_t>(slot) * Ring::kSlotBytes);
-        sqe->buf_index = static_cast<uint16_t>(slot);
-        fastpath[next] = 1;
-      } else {
-        sqe->opcode = IORING_OP_READ;
-        sqe->addr = reinterpret_cast<uint64_t>(op.out);
-      }
-      slot_of[next] = static_cast<int8_t>(slot);
-      // Pre-registered fd index when this file is in the fixed table.
-      int fd_index = -1;
-      if (fixed_ok && ring.files_registered) {
-        const auto it = std::find(ring.registered_files.begin(),
-                                  ring.registered_files.end(),
-                                  op.file->fd());
-        if (it != ring.registered_files.end()) {
-          fd_index =
-              static_cast<int>(it - ring.registered_files.begin());
-        }
-      }
-      if (fd_index >= 0) {
-        sqe->fd = fd_index;
-        sqe->flags |= IOSQE_FIXED_FILE;
-        fastpath[next] = 1;
-      } else {
-        sqe->fd = op.file->fd();
-      }
+      sqe->opcode = IORING_OP_READ;
+      sqe->addr = reinterpret_cast<uint64_t>(op.out);
+      sqe->fd = op.file->fd();
       sqe->len = static_cast<uint32_t>(op.size);
       sqe->off = op.offset;
       sqe->user_data = next;
@@ -422,26 +292,7 @@ Status IoUringBackend::SubmitBatch(std::span<ReadOp> ops) {
       const io_uring_cqe& cqe = ring.cqes[chead & ring.cq_mask];
       ReadOp& op = ops[cqe.user_data];
       const int32_t res = cqe.res;
-      const int slot = slot_of[cqe.user_data];
-      // A slot read lands in the registered pool; copy what arrived out
-      // to the caller's buffer before the slot is recycled.
-      if (slot >= 0 && res > 0) {
-        std::memcpy(op.out,
-                    ring.pool.data() +
-                        static_cast<size_t>(slot) * Ring::kSlotBytes,
-                    std::min<size_t>(static_cast<size_t>(res),
-                                     static_cast<size_t>(op.size)));
-      }
-      if (slot >= 0) ring.free_slots |= 1u << slot;
-      if (res < 0 && fastpath[cqe.user_data] != 0 &&
-          (res == -EINVAL || res == -EOPNOTSUPP || res == -EBADF)) {
-        // The kernel rejected the fixed-resource form of this read (old
-        // kernel, racing table swap): silent fallback, and stop offering
-        // the fast path so the batch doesn't pay a rejection per op.
-        ring.fixed_broken = true;
-        op.status =
-            op.file->ReadAt(op.offset, static_cast<size_t>(op.size), op.out);
-      } else if (res < 0) {
+      if (res < 0) {
         op.status = Status::IOError(
             ErrnoText("io_uring read " + op.file->path(), -res));
       } else if (res == 0) {
@@ -484,8 +335,6 @@ IoUringBackend::IoUringBackend(std::unique_ptr<Ring> ring)
     : ring_(std::move(ring)) {}
 
 IoUringBackend::~IoUringBackend() = default;
-
-bool IoUringBackend::fixed_buffers_active() const { return false; }
 
 Status IoUringBackend::SubmitBatch(std::span<ReadOp>) {
   return Status::Unimplemented("io_uring is Linux-only");

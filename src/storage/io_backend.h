@@ -101,12 +101,6 @@ class IoUringBackend final : public IoBackend {
   int64_t code() const override { return 2; }
   Status SubmitBatch(std::span<ReadOp> ops) override;
 
-  /// True while the registered-buffer (`IORING_OP_READ_FIXED`) fast path
-  /// is active. Probe-gated at construction; `TILESTORE_IO_URING_FIXED=0`
-  /// disables it, and a kernel rejection at runtime turns it off for the
-  /// backend's lifetime (reads silently fall back, byte-identically).
-  bool fixed_buffers_active() const;
-
  private:
   struct Ring;
   explicit IoUringBackend(std::unique_ptr<Ring> ring);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -18,8 +19,10 @@ namespace {
 
 /// Loopback integration fixture: one store with a patterned object, one
 /// `TileServer` on an ephemeral port, clients connecting to `port()`.
-/// Parameterized over the serving mode: false = thread-per-connection,
-/// true = event loop. Every behavior below must hold in both.
+/// Parameterized over the event loop's readiness backend: true = the
+/// platform default (epoll on Linux), false = the portable poll backend
+/// forced with `TILESTORE_EVENT_LOOP=poll`. Every behavior below must hold
+/// on both.
 class NetServerTest : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
@@ -57,9 +60,14 @@ class NetServerTest : public ::testing::TestWithParam<bool> {
   }
 
   void StartServer(TileServerOptions options = TileServerOptions()) {
-    options.event_loop = GetParam();
+    // The backend is chosen when Start creates the loop.
+    if (!GetParam()) {
+      ASSERT_EQ(::setenv("TILESTORE_EVENT_LOOP", "poll", 1), 0);
+    }
     server_ = std::make_unique<TileServer>(store_.get(), options);
-    ASSERT_TRUE(server_->Start().ok());
+    const Status started = server_->Start();
+    ASSERT_EQ(::unsetenv("TILESTORE_EVENT_LOOP"), 0);
+    ASSERT_TRUE(started.ok()) << started.ToString();
   }
 
   std::unique_ptr<TileClient> Connect(
@@ -389,8 +397,7 @@ TEST_P(NetServerTest, FilterQueryRefusedClientSideOnV1Connection) {
 
 INSTANTIATE_TEST_SUITE_P(ServingModes, NetServerTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "event_loop"
-                                             : "thread_per_conn";
+                           return info.param ? "event_loop" : "poll";
                          });
 
 }  // namespace

@@ -32,7 +32,6 @@ TEST(ServerConfigTest, NoFlagsYieldsDefaults) {
             defaults.max_connections);
   EXPECT_EQ(config->server_options.shard_id, 0u);
   EXPECT_EQ(config->server_options.shard_count, 1u);
-  EXPECT_FALSE(config->server_options.event_loop);
   EXPECT_FALSE(config->cluster_map.has_value());
   EXPECT_EQ(config->io_backend, nullptr);
 }
@@ -41,7 +40,7 @@ TEST(ServerConfigTest, ParsesServerKnobs) {
   auto config = Parse({"--port=7171", "--threads=8", "--max-inflight=4",
                        "--queue=2", "--request-timeout-ms=1234",
                        "--idle-timeout-ms=5678", "--parallelism=2",
-                       "--event-loop", "--workers=3", "--all-interfaces",
+                       "--workers=3", "--all-interfaces",
                        "--debug-handler-delay-ms=50", "--max-wire-version=1",
                        "--tile-cache-mb=8"});
   ASSERT_TRUE(config.ok()) << config.status().ToString();
@@ -53,7 +52,6 @@ TEST(ServerConfigTest, ParsesServerKnobs) {
   EXPECT_EQ(server.request_timeout_ms, 1234);
   EXPECT_EQ(server.idle_timeout_ms, 5678);
   EXPECT_EQ(server.query_parallelism, 2);
-  EXPECT_TRUE(server.event_loop);
   EXPECT_EQ(server.event_loop_workers, 3u);
   EXPECT_FALSE(server.loopback_only);
   EXPECT_EQ(server.debug_handler_delay_ms, 50);
@@ -87,7 +85,7 @@ TEST(ServerConfigTest, RejectsBadInput) {
   // Positional argument.
   EXPECT_TRUE(Parse({"7070"}).status().IsInvalidArgument());
   // Switch with a value.
-  EXPECT_TRUE(Parse({"--event-loop=yes"}).status().IsInvalidArgument());
+  EXPECT_TRUE(Parse({"--all-interfaces=yes"}).status().IsInvalidArgument());
   // Valued flag without a value.
   EXPECT_TRUE(Parse({"--port"}).status().IsInvalidArgument());
   // Not a number / trailing garbage.

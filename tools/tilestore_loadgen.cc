@@ -23,7 +23,7 @@
 ///   --bootstrap            create+fill the object over the wire first
 ///   --smoke                CI mode: few clients/requests, same coverage
 ///   --out=PATH             JSON report path (default BENCH_server.json)
-///   --label=NAME           row label (e.g. "thread_64", "event_loop_1024")
+///   --label=NAME           row label (e.g. "clients_64", "conns_1024")
 ///   --io-backend=NAME      record which IoBackend the server runs
 ///                          (informational: the server picks its own via
 ///                          `serve --io-backend` / TILESTORE_IO_BACKEND)
@@ -440,8 +440,8 @@ double SuccessRate(int requests, int failures, double elapsed_sec) {
 
 /// Writes the report row; the metrics snapshot JSON from the server is
 /// embedded verbatim (it is single-line by design). `--append` reopens an
-/// existing array and adds the row, so comparison runs (thread vs
-/// event-loop, different connection counts) collect in one file.
+/// existing array and adds the row, so comparison runs (server knobs,
+/// different connection counts) collect in one file.
 bool WriteReport(const Flags& flags, int shards, int total_requests,
                  int filter_queries, int failures, double elapsed_sec,
                  double p50, double p90, double p99,
