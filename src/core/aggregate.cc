@@ -1,9 +1,8 @@
 #include "core/aggregate.h"
 
-#include <algorithm>
 #include <cstring>
-#include <limits>
 
+#include "core/cell_accumulators.h"
 #include "core/linearizer.h"
 #include "core/rle_cells.h"
 
@@ -11,145 +10,71 @@ namespace tilestore {
 
 namespace {
 
-template <typename T>
-double Reduce(const Array& array, AggregateOp op) {
-  const T* cells = reinterpret_cast<const T*>(array.data());
-  const uint64_t n = array.cell_count();
-  switch (op) {
-    case AggregateOp::kSum:
-    case AggregateOp::kAvg: {
-      double sum = 0;
-      for (uint64_t i = 0; i < n; ++i) sum += static_cast<double>(cells[i]);
-      return op == AggregateOp::kSum ? sum
-                                     : sum / static_cast<double>(n);
+// Reduces `cells` cells with `op`: `walk(acc)` feeds every cell to the
+// accumulator `WithAccumulator` picked and returns its status.
+template <typename T, typename Walk>
+Result<double> ReduceCells(AggregateOp op, uint64_t cells, Walk&& walk) {
+  Result<double> value = 0.0;
+  WithAccumulator<T>(op, cells, [&](auto acc) {
+    Status st = walk(acc);
+    if (st.ok()) {
+      value = acc.Value();
+    } else {
+      value = st;
     }
-    case AggregateOp::kMin: {
-      double best = std::numeric_limits<double>::infinity();
-      for (uint64_t i = 0; i < n; ++i) {
-        best = std::min(best, static_cast<double>(cells[i]));
-      }
-      return best;
-    }
-    case AggregateOp::kMax: {
-      double best = -std::numeric_limits<double>::infinity();
-      for (uint64_t i = 0; i < n; ++i) {
-        best = std::max(best, static_cast<double>(cells[i]));
-      }
-      return best;
-    }
-    case AggregateOp::kCount: {
-      uint64_t count = 0;
-      for (uint64_t i = 0; i < n; ++i) {
-        if (cells[i] != static_cast<T>(0)) ++count;
-      }
-      return static_cast<double>(count);
-    }
+  });
+  if (value.ok() && op == AggregateOp::kAvg) {
+    return *value / static_cast<double>(cells);
   }
-  return 0;
+  return value;
 }
 
-// Run-based reduction over `region` inside `array` without a slice copy.
-// The accumulators and visit order are exactly those of `Reduce<T>` over
-// `array.Slice(region)` (row-major region order, doubles for sum/min/max,
-// uint64 for count), so the result is bit-identical to the slice kernel.
+// Whole-array reduction: one span.
 template <typename T>
-double ReduceRegionRuns(const Array& array, const MInterval& region,
-                        AggregateOp op) {
+Result<double> Reduce(const Array& array, AggregateOp op) {
+  const T* cells = reinterpret_cast<const T*>(array.data());
+  const uint64_t n = array.cell_count();
+  return ReduceCells<T>(op, n, [&](auto& acc) {
+    acc.Span(cells, n);
+    return Status::OK();
+  });
+}
+
+// Run-based reduction over `region` inside `array` without a slice copy:
+// one span per innermost-axis run, in row-major region order — the cells
+// and order of `Reduce<T>` over `array.Slice(region)`, so the result is
+// bit-identical to the slice kernel.
+template <typename T>
+Result<double> ReduceRegionRuns(const Array& array, const MInterval& region,
+                                AggregateOp op) {
   const T* cells = reinterpret_cast<const T*>(array.data());
   const uint64_t run =
       static_cast<uint64_t>(region.Extent(region.dim() - 1));
   const MInterval& domain = array.domain();
-  switch (op) {
-    case AggregateOp::kSum:
-    case AggregateOp::kAvg: {
-      double sum = 0;
-      ForEachRun(domain, domain, region, [&](uint64_t off, uint64_t) {
-        for (uint64_t c = 0; c < run; ++c) {
-          sum += static_cast<double>(cells[off + c]);
-        }
-      });
-      return op == AggregateOp::kSum
-                 ? sum
-                 : sum / static_cast<double>(region.CellCountOrDie());
-    }
-    case AggregateOp::kMin: {
-      double best = std::numeric_limits<double>::infinity();
-      ForEachRun(domain, domain, region, [&](uint64_t off, uint64_t) {
-        for (uint64_t c = 0; c < run; ++c) {
-          best = std::min(best, static_cast<double>(cells[off + c]));
-        }
-      });
-      return best;
-    }
-    case AggregateOp::kMax: {
-      double best = -std::numeric_limits<double>::infinity();
-      ForEachRun(domain, domain, region, [&](uint64_t off, uint64_t) {
-        for (uint64_t c = 0; c < run; ++c) {
-          best = std::max(best, static_cast<double>(cells[off + c]));
-        }
-      });
-      return best;
-    }
-    case AggregateOp::kCount: {
-      uint64_t count = 0;
-      ForEachRun(domain, domain, region, [&](uint64_t off, uint64_t) {
-        for (uint64_t c = 0; c < run; ++c) {
-          if (cells[off + c] != static_cast<T>(0)) ++count;
-        }
-      });
-      return static_cast<double>(count);
-    }
-  }
-  return 0;
+  return ReduceCells<T>(op, region.CellCountOrDie(), [&](auto& acc) {
+    ForEachRun(domain, domain, region,
+               [&](uint64_t off, uint64_t) { acc.Span(cells + off, run); });
+    return Status::OK();
+  });
 }
 
-// Streaming reduction over a PackBits RLE stream. Cells are folded in
-// decode order with `Reduce<T>`'s accumulators; repeat runs spanning whole
-// cells fold without touching memory (sum still adds per cell — the adds
-// must happen in the legacy order for bit-identity — but min/max/count
-// collapse to one operation per run, which is exact: folding one value n
-// times equals folding it once for those ops).
+// Streaming reduction over a PackBits RLE stream, in decode order. A
+// repeat run spanning whole cells reaches the accumulator as one
+// `Repeat(v, n)`: the exact integer sum adds `v * n` in one step,
+// min/max/count fold it once (folding one value n times equals folding it
+// once for those ops), and only the in-order double sum still adds per
+// cell.
 template <typename T>
 Result<double> ReduceRleStream(const std::vector<uint8_t>& stream,
                                uint64_t cell_count, AggregateOp op) {
-  double sum = 0;
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-  uint64_t nonzero = 0;
-  Status st = ForEachRleCell(
-      stream, sizeof(T), cell_count, [&](const uint8_t* cell, uint64_t n) {
-        T v;
-        std::memcpy(&v, cell, sizeof(T));
-        switch (op) {
-          case AggregateOp::kSum:
-          case AggregateOp::kAvg:
-            for (uint64_t w = 0; w < n; ++w) sum += static_cast<double>(v);
-            break;
-          case AggregateOp::kMin:
-            min = std::min(min, static_cast<double>(v));
-            break;
-          case AggregateOp::kMax:
-            max = std::max(max, static_cast<double>(v));
-            break;
-          case AggregateOp::kCount:
-            if (v != static_cast<T>(0)) nonzero += n;
-            break;
-        }
-      });
-  if (!st.ok()) return st;
-  switch (op) {
-    case AggregateOp::kSum:
-      return sum;
-    case AggregateOp::kAvg:
-      return sum / static_cast<double>(cell_count);
-    case AggregateOp::kMin:
-      return min;
-    case AggregateOp::kMax:
-      return max;
-    case AggregateOp::kCount:
-      return static_cast<double>(nonzero);
-  }
-  return Status::Internal("unhandled aggregate op");
+  return ReduceCells<T>(op, cell_count, [&](auto& acc) {
+    return ForEachRleCell(stream, sizeof(T), cell_count,
+                          [&](const uint8_t* cell, uint64_t n) {
+                            T v;
+                            std::memcpy(&v, cell, sizeof(T));
+                            acc.Repeat(v, n);
+                          });
+  });
 }
 
 Status NotNumeric(CellType cell_type) {
@@ -204,7 +129,7 @@ Result<double> AggregateCells(const Array& array, AggregateOp op) {
   if (array.cell_count() == 0) {
     return Status::InvalidArgument("aggregate of empty array");
   }
-  double value = 0;
+  Result<double> value = 0.0;
   if (!VisitNumericCellType(array.cell_type().id(), [&](auto t) {
         value = Reduce<decltype(t)>(array, op);
       })) {
@@ -221,7 +146,7 @@ Result<double> AggregateRegion(const Array& array, const MInterval& region,
                                    " not inside array domain " +
                                    array.domain().ToString());
   }
-  double value = 0;
+  Result<double> value = 0.0;
   if (!VisitNumericCellType(array.cell_type().id(), [&](auto t) {
         value = ReduceRegionRuns<decltype(t)>(array, region, op);
       })) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "core/cell_accumulators.h"
 #include "core/linearizer.h"
 #include "core/rle_cells.h"
 
@@ -16,25 +17,30 @@ Status NotNumeric(CellType cell_type) {
       std::string(cell_type.name()));
 }
 
-template <typename T>
-void FilterRuns(const Array& tile, const MInterval& part,
-                const ValuePredicate& pred, Array* result) {
+// Each cell of a run is written back: the matching value or the bytes it
+// already held. The select has no branch, and `part` belongs to this tile
+// alone, so concurrent consumers still write disjoint cells.
+template <typename T, typename Match>
+void FilterRuns(const Array& tile, const MInterval& part, Match match,
+                Array* result) {
   const T* src = reinterpret_cast<const T*>(tile.data());
   T* dst = reinterpret_cast<T*>(result->mutable_data());
   const uint64_t run = static_cast<uint64_t>(part.Extent(part.dim() - 1));
   ForEachRun(tile.domain(), result->domain(), part,
              [&](uint64_t src_off, uint64_t dst_off) {
+               const T* in = src + src_off;
+               T* out = dst + dst_off;
                for (uint64_t c = 0; c < run; ++c) {
-                 const T v = src[src_off + c];
-                 if (pred.Matches(static_cast<double>(v))) dst[dst_off + c] = v;
+                 const T v = in[c];
+                 out[c] = match(static_cast<double>(v)) ? v : out[c];
                }
              });
 }
 
-template <typename T>
+template <typename T, typename Match>
 Result<uint64_t> FilterRle(const std::vector<uint8_t>& stream,
-                           const MInterval& tile_domain,
-                           const ValuePredicate& pred, Array* result) {
+                           const MInterval& tile_domain, Match match,
+                           Array* result) {
   // Linear tile cell k lives in innermost-axis run k / L at offset k % L;
   // the runs' destination offsets are precomputed once.
   const uint64_t run_len =
@@ -51,7 +57,7 @@ Result<uint64_t> FilterRle(const std::vector<uint8_t>& stream,
       [&](const uint8_t* cell, uint64_t n) {
         T v;
         std::memcpy(&v, cell, sizeof(T));
-        if (pred.Matches(static_cast<double>(v))) {
+        if (match(static_cast<double>(v))) {
           matched += n;
           for (uint64_t k = cell_index, end = cell_index + n; k < end;) {
             const uint64_t in_run = std::min(end - k, run_len - k % run_len);
@@ -65,20 +71,28 @@ Result<uint64_t> FilterRle(const std::vector<uint8_t>& stream,
   return matched;
 }
 
-template <typename T>
+// The accumulators of `AggregateRegion` (core/cell_accumulators.h), fed
+// only the matching cells: when every cell matches, the value is
+// bit-identical to `AggregateRegion`, and in general to folding the
+// matching cells one by one through `AggregateFold`.
+template <typename T, typename Match>
 MatchingAggregate ReduceMatching(const Array& array, const MInterval& part,
-                                 const ValuePredicate& pred, AggregateOp op) {
+                                 Match match, AggregateOp op) {
   const T* cells = reinterpret_cast<const T*>(array.data());
   const uint64_t run = static_cast<uint64_t>(part.Extent(part.dim() - 1));
-  AggregateFold fold(op);
-  ForEachRun(array.domain(), array.domain(), part,
-             [&](uint64_t off, uint64_t) {
-               for (uint64_t c = 0; c < run; ++c) {
-                 const double v = static_cast<double>(cells[off + c]);
-                 if (pred.Matches(v)) fold.AddCell(v);
-               }
-             });
-  return MatchingAggregate{fold.Value(), fold.cells()};
+  MatchingAggregate out;
+  WithAccumulator<T>(op, part.CellCountOrDie(), [&](auto acc) {
+    uint64_t matched = 0;
+    ForEachRun(array.domain(), array.domain(), part,
+               [&](uint64_t off, uint64_t) {
+                 matched += acc.SpanMatching(cells + off, run, match);
+               });
+    if (matched == 0) return;
+    out.cells = matched;
+    out.value = acc.Value();
+    if (op == AggregateOp::kAvg) out.value /= static_cast<double>(matched);
+  });
+  return out;
 }
 
 }  // namespace
@@ -90,7 +104,9 @@ Status FilterRegionInto(const Array& tile, const MInterval& part,
         "filter source and result cell types differ");
   }
   if (!VisitNumericCellType(tile.cell_type().id(), [&](auto t) {
-        FilterRuns<decltype(t)>(tile, part, pred, result);
+        pred.WithMatcher([&](auto match) {
+          FilterRuns<decltype(t)>(tile, part, match, result);
+        });
       })) {
     return NotNumeric(tile.cell_type());
   }
@@ -103,7 +119,9 @@ Result<uint64_t> FilterRleStreamInto(const std::vector<uint8_t>& stream,
                                      Array* result) {
   Result<uint64_t> matched = uint64_t{0};
   if (!VisitNumericCellType(result->cell_type().id(), [&](auto t) {
-        matched = FilterRle<decltype(t)>(stream, tile_domain, pred, result);
+        pred.WithMatcher([&](auto match) {
+          matched = FilterRle<decltype(t)>(stream, tile_domain, match, result);
+        });
       })) {
     return NotNumeric(result->cell_type());
   }
@@ -116,7 +134,9 @@ Result<MatchingAggregate> AggregateMatching(const Array& array,
                                             AggregateOp op) {
   MatchingAggregate out;
   if (!VisitNumericCellType(array.cell_type().id(), [&](auto t) {
-        out = ReduceMatching<decltype(t)>(array, part, pred, op);
+        pred.WithMatcher([&](auto match) {
+          out = ReduceMatching<decltype(t)>(array, part, match, op);
+        });
       })) {
     return NotNumeric(array.cell_type());
   }

@@ -96,7 +96,7 @@ std::vector<uint8_t> Compress(Compression compression,
 }
 
 Result<std::vector<uint8_t>> Decompress(Compression compression,
-                                        const std::vector<uint8_t>& data,
+                                        std::vector<uint8_t> data,
                                         size_t expected_size) {
   switch (compression) {
     case Compression::kNone:

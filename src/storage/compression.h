@@ -33,9 +33,11 @@ std::vector<uint8_t> Compress(Compression compression,
 
 /// Decompresses `data` produced by `Compress(compression, ...)`.
 /// `expected_size` is the known uncompressed size (tiles always know it
-/// from their domain); a mismatch yields Corruption.
+/// from their domain); a mismatch yields Corruption. `data` is taken by
+/// value so `kNone` hands the caller's buffer back without a copy when the
+/// caller moves it in.
 Result<std::vector<uint8_t>> Decompress(Compression compression,
-                                        const std::vector<uint8_t>& data,
+                                        std::vector<uint8_t> data,
                                         size_t expected_size);
 
 /// Selective compression (the paper's "selective compression of blocks"):

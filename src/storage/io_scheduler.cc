@@ -65,7 +65,7 @@ Result<Tile> TileIOScheduler::DecodePayload(const TileEntry& entry,
                                             std::vector<uint8_t>&& data) {
   const size_t raw_size = entry.domain.CellCountOrDie() * cell_type.size();
   Result<std::vector<uint8_t>> cells =
-      Decompress(entry.compression, data, raw_size);
+      Decompress(entry.compression, std::move(data), raw_size);
   if (!cells.ok()) return cells.status();
   return Tile::FromBuffer(entry.domain, cell_type,
                           std::move(cells).MoveValue());

@@ -16,6 +16,16 @@ TEST(CompressionTest, NoneIsIdentity) {
   EXPECT_EQ(*back, data);
 }
 
+TEST(CompressionTest, NoneHandsAMovedBufferBackWithoutCopying) {
+  std::vector<uint8_t> data(64 * 1024, 7);
+  const uint8_t* storage = data.data();
+  Result<std::vector<uint8_t>> back =
+      Decompress(Compression::kNone, std::move(data), 64 * 1024);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->data(), storage);
+  EXPECT_EQ(back->size(), 64u * 1024);
+}
+
 TEST(CompressionTest, NoneSizeMismatchIsCorruption) {
   std::vector<uint8_t> data = {1, 2, 3};
   EXPECT_TRUE(
