@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/bench_util.h"
+#include "common/checksum.h"
 #include "common/random.h"
 #include "core/aggregate.h"
 #include "core/filter.h"
@@ -139,6 +140,21 @@ void BM_FillRegion(benchmark::State& state) {
 }
 BENCHMARK(BM_FillRegion)->Arg(1)->Arg(3)->Arg(4)->Arg(8);
 
+// CRC-32C as every TSN1 frame, WAL record and page checksum runs it
+// (hardware kernel where the CPU has SSE4.2); arg = buffer bytes.
+void BM_Crc32c(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<uint8_t> buffer(n);
+  Random rng(n);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32c(buffer.data(), buffer.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4096)->Arg(65536);
+
 void BM_AlignedTiling(benchmark::State& state) {
   SalesCubeSpec spec;
   const MInterval domain = spec.Domain();
@@ -214,8 +230,8 @@ BENCHMARK(BM_RTreeInsert);
 
 /// RLE-friendly 512x512 uint32 array: constant within 32-row bands, so the
 /// stored tiles shrink to a few runs and decode (RLE expansion + result
-/// composition) dominates the warm query — the component the parallel
-/// read path spreads over the worker pool.
+/// composition) dominates the warm query — the component the batched
+/// (p > 1) and serial (p = 1) schedules both run on the calling thread.
 Array MakeBandedArray() {
   const MInterval domain({{0, 511}, {0, 511}});
   Array data = Array::Create(domain, CellType::Of(CellTypeId::kUInt32)).value();

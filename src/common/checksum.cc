@@ -3,6 +3,11 @@
 #include <array>
 #include <cstring>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define TILESTORE_CRC32C_X86 1
+#include <nmmintrin.h>
+#endif
+
 namespace tilestore {
 
 namespace {
@@ -36,7 +41,9 @@ constexpr Crc32cTables kTables;
 
 }  // namespace
 
-uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
+namespace crc32c_internal {
+
+uint32_t Software(const void* data, size_t n, uint32_t seed) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t crc = ~seed;
   while (n >= 8) {
@@ -56,6 +63,50 @@ uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
     crc = (crc >> 8) ^ kTables.t[0][(crc ^ *p++) & 0xFFu];
   }
   return ~crc;
+}
+
+#ifdef TILESTORE_CRC32C_X86
+
+bool HardwareAvailable() {
+  // Initialise the CPU model first: the check may run before libgcc's own
+  // constructor when a static initializer computes a CRC.
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sse4.2");
+}
+
+// Compiled for SSE4.2 on its own, so the rest of the build keeps the
+// baseline ISA; only reached after the CPU check.
+__attribute__((target("sse4.2"))) uint32_t Hardware(const void* data,
+                                                    size_t n, uint32_t seed) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  uint64_t crc = ~seed;
+  for (; n >= 8; n -= 8, p += 8) {
+    uint64_t word;
+    std::memcpy(&word, p, 8);
+    crc = _mm_crc32_u64(crc, word);
+  }
+  uint32_t crc32 = static_cast<uint32_t>(crc);
+  for (; n > 0; --n) crc32 = _mm_crc32_u8(crc32, *p++);
+  return ~crc32;
+}
+
+#else
+
+bool HardwareAvailable() { return false; }
+
+uint32_t Hardware(const void* data, size_t n, uint32_t seed) {
+  return Software(data, n, seed);
+}
+
+#endif
+
+}  // namespace crc32c_internal
+
+uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
+  static const auto kernel = crc32c_internal::HardwareAvailable()
+                                 ? &crc32c_internal::Hardware
+                                 : &crc32c_internal::Software;
+  return kernel(data, n, seed);
 }
 
 }  // namespace tilestore

@@ -38,9 +38,10 @@ struct MDDStoreOptions {
   IndexKind index_kind = IndexKind::kRTree;
   /// Disk cost model parameters (attached to the page file).
   DiskParams disk_params;
-  /// Fixed worker-pool size for the concurrent read path; 0 picks a
-  /// machine default (hardware concurrency, clamped to 16). The pool is
-  /// created lazily on first parallel fetch.
+  /// Size of the worker pool behind `TileScan`'s prefetch window; 0 picks
+  /// a machine default (hardware concurrency, clamped to 16). The pool is
+  /// created lazily on the first scan. Range queries never use it: their
+  /// batched fetch decodes on the calling thread.
   size_t worker_threads = 0;
   /// Durable write path: every mutation runs inside a transaction whose
   /// effects are WAL-logged (to `<path>.wal`) and fsynced before they
@@ -57,7 +58,7 @@ struct MDDStoreOptions {
   /// cold read path and its cost-model numbers bit-identical to the
   /// uncached implementation.
   size_t tile_cache_bytes = 0;
-  /// Batched-read engine for the parallel fetch path (DESIGN.md §11).
+  /// Batched-read engine for the p > 1 fetch wave (DESIGN.md §11).
   /// Null uses `DefaultIoBackend()` (io_uring where available, otherwise
   /// threaded pread; override with `TILESTORE_IO_BACKEND`). The caller
   /// keeps ownership and must outlive the store.
@@ -153,7 +154,7 @@ class MDDStore {
   /// In unlogged mode this is a plain `PageFile::Flush`.
   Status Checkpoint();
 
-  /// The worker pool behind parallel fetches (created on first use).
+  /// The worker pool behind `TileScan` prefetch (created on first use).
   ThreadPool* thread_pool();
 
   /// Marks the in-memory catalog as diverged from the persisted one

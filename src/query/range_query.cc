@@ -1,7 +1,6 @@
 #include "query/range_query.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <optional>
 
@@ -71,8 +70,8 @@ struct Plan {
 };
 
 // What the fetched tiles become. `Prepare` runs before the fetch and
-// `Finish` after it, both on the calling thread; `Consume` and
-// `ConsumeEncoded` may run concurrently on workers with distinct `i`.
+// `Finish` after it; `Consume` and `ConsumeEncoded` run once per fetched
+// tile, in BLOB order. All of them run on the calling thread.
 class Consumer {
  public:
   virtual ~Consumer() = default;
@@ -86,7 +85,7 @@ class Consumer {
   virtual Status Consume(size_t i, const Tile& tile, const MInterval& part) = 0;
   virtual Status Finish() = 0;
 
-  std::atomic<uint64_t> useful_bytes{0};
+  uint64_t useful_bytes = 0;
   uint64_t result_bytes = 0;
 };
 
@@ -97,8 +96,7 @@ namespace {
 // inspect parts overwritten cell by matching cell. A cell's final bytes
 // therefore depend only on (stored value, predicate) — never on the
 // classification — so results are byte-identical with summaries on, off,
-// or discarded. Tiles are disjoint, so concurrent consumers write
-// disjoint cells.
+// or discarded.
 class Materialize final : public Consumer {
  public:
   Status Prepare(const Plan& plan) override {
@@ -133,13 +131,12 @@ class Materialize final : public Consumer {
     Result<uint64_t> matched = FilterRleStreamInto(
         stream, plan_->tiles[i].domain, *plan_->pred, &result_);
     if (!matched.ok()) return matched.status();
-    useful_bytes.fetch_add(*matched * cell_size_, std::memory_order_relaxed);
+    useful_bytes += *matched * cell_size_;
     return Status::OK();
   }
 
   Status Consume(size_t i, const Tile& tile, const MInterval& part) override {
-    useful_bytes.fetch_add(part.CellCountOrDie() * cell_size_,
-                           std::memory_order_relaxed);
+    useful_bytes += part.CellCountOrDie() * cell_size_;
     if (plan_->classes[i] == TileClass::kAcceptAll) {
       return result_.CopyFrom(tile, part);
     }
@@ -161,11 +158,12 @@ class Materialize final : public Consumer {
 };
 
 // Fold: aggregation push-down. Each tile is condensed into a per-tile
-// partial the moment it arrives and then dropped, so peak memory stays at
-// `parallelism` tiles. Partials are folded serially in ascending BLOB-id
-// order, then the uncovered default cells (iff the default matches), so
-// the floating-point accumulation order — and the result — is identical
-// at every parallelism.
+// partial the moment it is decoded and then dropped, so at most one
+// decoded tile is alive at a time (a batched fetch still holds the wave's
+// encoded payloads). Partials are folded in ascending BLOB-id order, then
+// the uncovered default cells (iff the default matches), so the
+// floating-point accumulation order — and the result — is identical at
+// every parallelism.
 class FoldConsumer final : public Consumer {
  public:
   explicit FoldConsumer(AggregateOp op)
@@ -419,7 +417,6 @@ Status RangeQueryExecutor::Run(MDDObject* object, const MInterval& region,
 
   TileIOOptions io_options;
   io_options.parallelism = parallelism;
-  io_options.pool = parallelism > 1 ? store_->thread_pool() : nullptr;
   io_options.trace = plan.trace;
   io_options.trace_id = plan.trace_id;
   if (use_cache) {
@@ -464,7 +461,7 @@ Status RangeQueryExecutor::Run(MDDObject* object, const MInterval& region,
   local.tilecache_hits = io.cache_hits;
   local.tiles_accessed = io.tiles;
   local.tile_bytes_read = io.tile_bytes;
-  local.useful_bytes = consumer->useful_bytes.load(std::memory_order_relaxed);
+  local.useful_bytes = consumer->useful_bytes;
   local.result_cells = plan.region.CellCountOrDie();
   local.result_bytes = consumer->result_bytes;
   // t_cpu model: every retrieved byte passes through the composition layer

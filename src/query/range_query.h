@@ -27,13 +27,14 @@ struct RangeQueryOptions {
   /// executing, so t_o reflects physical retrieval — the regime the paper
   /// measures. Warm runs (default) use whatever is cached.
   bool cold = false;
-  /// Tile retrieval parallelism. 1 (default) reads page by page, tile at
-  /// a time, so counters and model costs are bit-identical to the paper's
+  /// Tile retrieval schedule. 1 (default) reads page by page, tile at a
+  /// time, so counters and model costs are bit-identical to the paper's
   /// tile-at-a-time loop. Higher values fetch every miss in one coalesced
-  /// `GetBatch` wave and spread decode/composition over the store's
-  /// worker pool. Results are byte-identical at any parallelism; only
-  /// wall-clock (and, for cold runs, the seek interleaving recorded by the
-  /// shared disk model) varies.
+  /// `GetBatch` wave, whose reads the page file's `IoBackend` keeps in
+  /// flight together; decode and composition stay on the calling thread.
+  /// Results are byte-identical at any parallelism; only wall-clock (and,
+  /// for cold runs, the seek interleaving recorded by the shared disk
+  /// model) varies.
   int parallelism = 1;
   /// Cost model parameters for t_ix / t_cpu (see CostParams).
   CostParams cost;
@@ -74,7 +75,7 @@ struct RangeQueryOptions {
 /// Observability: each query gets a fresh trace id and emits nested
 /// "query" / "index_probe" / "fetch" / "compose" spans into the store's
 /// trace ring (the scheduler adds per-tile "tile_fetch"/"tile_decode"
-/// spans on worker threads). Query and index-probe counts go to the
+/// spans), all on the calling thread. Query and index-probe counts go to the
 /// store registry under `query.*` / `index.*`, and the `QueryStats`
 /// storage counters (`pages_read`, `seeks`, `index_nodes_visited`) are
 /// deltas of the same registry counters the store exports — a snapshot
@@ -93,8 +94,8 @@ class RangeQueryExecutor {
 
   /// Aggregation push-down: condenses `region` with `op` without ever
   /// materializing the result array — tiles are fetched in physical order
-  /// and condensed into per-tile partials immediately, so peak memory is
-  /// `parallelism` tiles regardless of the region size. Partials are
+  /// and condensed into per-tile partials immediately, so at most one
+  /// decoded tile is alive regardless of the region size. Partials are
   /// folded serially in fetch order, so the result is bit-identical at
   /// every parallelism. Uncovered cells contribute the object's default
   /// value. Numeric cell types only.

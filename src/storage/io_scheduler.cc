@@ -1,9 +1,7 @@
 #include "storage/io_scheduler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <mutex>
 #include <numeric>
 #include <vector>
 
@@ -86,11 +84,6 @@ Status TileIOScheduler::FetchBatch(
     return entries[a].blob < entries[b].blob;
   });
 
-  const int parallelism =
-      options.pool != nullptr
-          ? std::min<int>(std::max(options.parallelism, 1),
-                          static_cast<int>(options.pool->size()))
-          : 1;
   // A null or disabled cache is the cache that never hits.
   TileCache* cache = options.cache != nullptr && options.cache->enabled() &&
                              options.cache_object_id != 0
@@ -103,9 +96,9 @@ Status TileIOScheduler::FetchBatch(
     metrics_.queue_depth->Add(static_cast<int64_t>(entries.size()));
   }
   TileIOStats merged;
-  std::atomic<uint64_t> done{0};
+  uint64_t done = 0;
   auto tile_done = [&] {
-    done.fetch_add(1, std::memory_order_relaxed);
+    ++done;
     if (metrics_.queue_depth != nullptr) metrics_.queue_depth->Add(-1);
   };
   // Every exit path publishes the counters and brings the queue-depth
@@ -116,8 +109,7 @@ Status TileIOScheduler::FetchBatch(
       metrics_.coalesced_runs->Add(merged.coalesced_runs);
       metrics_.chain_fallbacks->Add(merged.chain_fallbacks);
       metrics_.cross_object_coalesced->Add(merged.cross_object_coalesced);
-      metrics_.queue_depth->Add(-static_cast<int64_t>(
-          entries.size() - done.load(std::memory_order_relaxed)));
+      metrics_.queue_depth->Add(-static_cast<int64_t>(entries.size() - done));
     }
     if (!st.ok()) return st;
     merged.wall_ms = ElapsedMs(wall_start);
@@ -150,12 +142,11 @@ Status TileIOScheduler::FetchBatch(
     tile_done();
   }
 
-  // The per-payload step both schedules share: the encoded hook gets the
-  // raw BLOB bytes, every other tile is decoded, offered to the cache and
-  // consumed. Either way the tile is charged its logical decoded size —
-  // the cost model's t_cpu counts cells processed, not the codec.
-  auto process = [&](size_t idx, std::vector<uint8_t>&& payload,
-                     TileIOStats* local) -> Status {
+  // The per-payload step: the encoded hook gets the raw BLOB bytes, every
+  // other tile is decoded, offered to the cache and consumed. Either way
+  // the tile is charged its logical decoded size — the cost model's t_cpu
+  // counts cells processed, not the codec.
+  auto process = [&](size_t idx, std::vector<uint8_t>&& payload) -> Status {
     const TileEntry& entry = entries[idx];
     const Clock::time_point start = Clock::now();
     Status st;
@@ -175,87 +166,59 @@ Status TileIOScheduler::FetchBatch(
         st = consume(idx, *tile);
       }
     }
-    ++local->tiles;
-    local->tile_bytes += entry.domain.CellCountOrDie() * cell_type.size();
-    local->decode_summed_ms += ElapsedMs(start);
+    ++merged.tiles;
+    merged.tile_bytes += entry.domain.CellCountOrDie() * cell_type.size();
+    merged.decode_summed_ms += ElapsedMs(start);
     return st;
   };
 
-  if (parallelism <= 1) {
-    // Serial schedule: page by page through the pool, no speculative
-    // reads — the original tile-at-a-time loop, so the paper's
-    // deterministic cost numbers are reproduced exactly.
-    for (size_t idx : misses) {
-      const Clock::time_point read_start = Clock::now();
-      Result<std::vector<uint8_t>> payload = [&] {
-        obs::TraceScope span(options.trace, options.trace_id, "tile_fetch");
-        return blobs_->Get(entries[idx].blob);
-      }();
-      const double read_ms = ElapsedMs(read_start);
-      merged.io_summed_ms += read_ms;
-      if (metrics_.fetch_ms != nullptr) metrics_.fetch_ms->Observe(read_ms);
-      Status st = payload.ok()
-                      ? process(idx, std::move(payload).MoveValue(), &merged)
-                      : payload.status();
-      if (!st.ok()) return finish(st);
-      tile_done();
-    }
-    return finish(Status::OK());
-  }
-
-  // Parallel schedule: one `GetBatch` wave hands every miss span to the
+  // Two read schedules. Serial (parallelism 1): page by page through the
+  // pool, no speculative reads — the original tile-at-a-time loop, so the
+  // paper's deterministic cost numbers are reproduced exactly. Batched
+  // (parallelism > 1): one `GetBatch` wave hands every miss span to the
   // page file's IoBackend in a single submission (charges are replayed in
   // sorted-id order inside GetBatch, identical to a sequential coalesced
-  // loop); `parallelism` workers then drain the per-payload step through a
-  // shared cursor.
-  std::vector<BlobId> ids(misses.size());
-  for (size_t i = 0; i < misses.size(); ++i) ids[i] = entries[misses[i]].blob;
-  const Clock::time_point io_start = Clock::now();
+  // loop). Either way the per-payload step runs here, in BLOB order.
+  const bool batched = options.parallelism > 1;
   std::vector<std::vector<uint8_t>> payloads;
-  BlobReadStats batch_stats;
-  Status batch_status = blobs_->GetBatch(ids, &payloads, &batch_stats);
-  if (!misses.empty()) {
+  if (batched && !misses.empty()) {
+    std::vector<BlobId> ids(misses.size());
+    for (size_t i = 0; i < misses.size(); ++i) {
+      ids[i] = entries[misses[i]].blob;
+    }
+    const Clock::time_point io_start = Clock::now();
+    BlobReadStats batch_stats;
+    Status batch_status = blobs_->GetBatch(ids, &payloads, &batch_stats);
     const double batch_io_ms = ElapsedMs(io_start);
     merged.io_summed_ms += batch_io_ms;
     if (metrics_.fetch_ms != nullptr) metrics_.fetch_ms->Observe(batch_io_ms);
+    merged.coalesced_runs += batch_stats.physical_runs;
+    merged.chain_fallbacks += batch_stats.fallback_chains;
+    merged.cross_object_coalesced += batch_stats.cross_object_coalesced;
+    if (!batch_status.ok()) return finish(batch_status);
   }
-  merged.coalesced_runs += batch_stats.physical_runs;
-  merged.chain_fallbacks += batch_stats.fallback_chains;
-  merged.cross_object_coalesced += batch_stats.cross_object_coalesced;
-  if (!batch_status.ok()) return finish(batch_status);
-
-  std::atomic<size_t> cursor{0};
-  std::atomic<bool> failed{false};
-  std::mutex result_mu;
-  Status first_error;
-  TaskGroup group(options.pool);
-  for (int w = 0; w < parallelism; ++w) {
-    group.Run([&] {
-      TileIOStats local;
-      size_t i;
-      while (!failed.load(std::memory_order_acquire) &&
-             (i = cursor.fetch_add(1, std::memory_order_relaxed)) <
-                 misses.size()) {
-        {
-          // The bytes arrived in the wave; the empty span keeps traces at
-          // one tile_fetch per fetched tile.
-          obs::TraceScope span(options.trace, options.trace_id, "tile_fetch");
-        }
-        Status st = process(misses[i], std::move(payloads[i]), &local);
-        if (!st.ok()) {
-          failed.store(true, std::memory_order_release);
-          std::lock_guard<std::mutex> lock(result_mu);
-          if (first_error.ok()) first_error = st;
-          break;
-        }
-        tile_done();
-      }
-      std::lock_guard<std::mutex> lock(result_mu);
-      merged.Add(local);
-    });
+  for (size_t i = 0; i < misses.size(); ++i) {
+    const size_t idx = misses[i];
+    const Clock::time_point read_start = Clock::now();
+    Result<std::vector<uint8_t>> payload =
+        [&]() -> Result<std::vector<uint8_t>> {
+      // A batched payload arrived in the wave; its empty span keeps traces
+      // at one tile_fetch per fetched tile.
+      obs::TraceScope span(options.trace, options.trace_id, "tile_fetch");
+      if (batched) return std::move(payloads[i]);
+      return blobs_->Get(entries[idx].blob);
+    }();
+    if (!batched) {
+      const double read_ms = ElapsedMs(read_start);
+      merged.io_summed_ms += read_ms;
+      if (metrics_.fetch_ms != nullptr) metrics_.fetch_ms->Observe(read_ms);
+    }
+    Status st = payload.ok() ? process(idx, std::move(payload).MoveValue())
+                             : payload.status();
+    if (!st.ok()) return finish(st);
+    tile_done();
   }
-  group.Wait();
-  return finish(first_error);
+  return finish(Status::OK());
 }
 
 std::future<Result<Tile>> TileIOScheduler::FetchAsync(const TileEntry& entry,

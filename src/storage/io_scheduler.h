@@ -23,15 +23,13 @@ class TileCache;
 
 /// Execution options for one batched fetch.
 struct TileIOOptions {
-  /// Tiles decoded concurrently. 1 reproduces the serial paper-exact read
-  /// path bit for bit (same storage calls in the same order, same
-  /// disk-model charges). Values > 1 require `pool`.
+  /// Fetch schedule. 1 reproduces the serial paper-exact read path bit for
+  /// bit (same storage calls in the same order, same disk-model charges).
+  /// Values > 1 read every miss in one coalesced `GetBatch` wave; decode
+  /// and consume still run on the calling thread, in BLOB order.
   int parallelism = 1;
-  /// Worker pool for parallel decode/composition; ignored at
-  /// `parallelism = 1`.
-  ThreadPool* pool = nullptr;
   /// Trace sink for per-tile "tile_fetch"/"tile_decode" spans (emitted on
-  /// whichever thread processes the tile). Null disables tracing.
+  /// the calling thread). Null disables tracing.
   obs::TraceRing* trace = nullptr;
   /// Trace id grouping this batch's spans with the enclosing query.
   uint64_t trace_id = 0;
@@ -73,7 +71,7 @@ struct TileIOStats {
   /// measured io/decode times.
   uint64_t cache_hits = 0;
   /// Read time: summed per tile on the serial path, the one `GetBatch`
-  /// wave on the parallel path.
+  /// wave on the batched path.
   double io_summed_ms = 0;
   /// Per-tile decode + consume time summed across tiles.
   double decode_summed_ms = 0;
@@ -92,13 +90,15 @@ struct TileIOStats {
 /// `BlobStore::GetBatch` so every miss span of the whole query is handed
 /// to the page file's `IoBackend` in a single batch (io_uring keeps them
 /// in flight concurrently; the portable backend fans them over a small
-/// pool). Decode + composition then overlap across tiles on a fixed
-/// worker pool. Disk-model charges are replayed inside `GetBatch` in
-/// sorted-id order, so `model_ms`/seek accounting is identical to a
-/// sequential coalesced loop — and independent of the backend. At
-/// `parallelism = 1` the scheduler degrades to the exact tile-at-a-time
-/// loop of the original implementation, which keeps the paper's
-/// t_o/t_cpu cost tables reproducible.
+/// pool). I/O concurrency lives in the backend alone: once the wave is
+/// back, decode + composition run on the calling thread in BLOB order
+/// (`Compression` is `kNone`/`kRle`, too cheap to pay a worker handoff).
+/// Disk-model charges are replayed inside `GetBatch` in sorted-id order,
+/// so `model_ms`/seek accounting is identical to a sequential coalesced
+/// loop — and independent of the backend. At `parallelism = 1` the
+/// scheduler degrades to the exact tile-at-a-time loop of the original
+/// implementation, which keeps the paper's t_o/t_cpu cost tables
+/// reproducible.
 /// Observability: with an attached registry (`set_metrics`), batches and
 /// tiles are counted under `scheduler.*`, the `scheduler.queue_depth`
 /// gauge tracks tiles admitted but not yet consumed, and histograms record
@@ -119,13 +119,11 @@ class TileIOScheduler {
   /// re-inserted), encoded fast path (`options.encoded_filter` /
   /// `consume_encoded`: raw BLOB bytes, no decode, never cached), or fetch
   /// + decode + cache populate. Cache hits are served first; misses are
-  /// read in ascending BLOB-id order. With `parallelism > 1`, `consume`
-  /// runs on worker threads and must be safe for concurrent invocations
-  /// with distinct `i` (invocations with the same `i` never happen). The
-  /// referenced tile is only valid for the duration of the call — copy or
-  /// reduce, don't keep the pointer. Cache hits skip the measured
-  /// `scheduler.fetch_ms` histogram. The first error aborts the batch and
-  /// is returned.
+  /// read in ascending BLOB-id order. `consume` runs on the calling
+  /// thread, once per entry, at any parallelism. The referenced tile is
+  /// only valid for the duration of the call — copy or reduce, don't keep
+  /// the pointer. Cache hits skip the measured `scheduler.fetch_ms`
+  /// histogram. The first error aborts the batch and is returned.
   Status FetchBatch(std::span<const TileEntry> entries, CellType cell_type,
                     const TileIOOptions& options,
                     const std::function<Status(size_t, const Tile&)>& consume,

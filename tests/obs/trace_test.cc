@@ -138,7 +138,7 @@ TEST(QueryTraceTest, ParallelQueryEmitsProperlyNestedSpans) {
     if (e.begin) ++begins[e.name];
   }
   // Executor phases appear once; the scheduler emits per-tile spans (the
-  // 4096-cell object holds multiple 2 KiB tiles) on the worker threads.
+  // 4096-cell object holds multiple 2 KiB tiles) on the calling thread.
   EXPECT_EQ(begins["query"], 1);
   EXPECT_EQ(begins["index_probe"], 1);
   EXPECT_EQ(begins["fetch"], 1);
@@ -147,6 +147,59 @@ TEST(QueryTraceTest, ParallelQueryEmitsProperlyNestedSpans) {
   EXPECT_EQ(begins["tile_fetch"], begins["tile_decode"]);
 
   CheckPerThreadNesting(events);
+
+  store.reset();
+  (void)RemoveFile(path);
+}
+
+// The batched (p > 1) schedule decodes on the caller too: every span of
+// the query, per-tile ones included, is on the calling thread.
+TEST(QueryTraceTest, BatchedQuerySpansStayOnCallingThread) {
+  const std::string path = UniqueTestPath("trace_batched_test.db");
+  (void)RemoveFile(path);
+  MDDStoreOptions store_options;
+  store_options.page_size = 512;
+  store_options.worker_threads = 4;
+  auto store = MDDStore::Create(path, store_options).MoveValue();
+
+  const MInterval domain({{0, 31}, {0, 31}});
+  Array data = Array::Create(domain, CellType::Of(CellTypeId::kUInt16)).value();
+  ForEachPoint(domain, [&](const Point& p) {
+    data.Set<uint16_t>(p, static_cast<uint16_t>(p[0] + p[1]));
+  });
+  MDDObject* object =
+      store->CreateMDD("obj", domain, data.cell_type()).value();
+  ASSERT_TRUE(object->Load(data, AlignedTiling::Regular(2, 256)).ok());
+  (void)store->trace()->Drain();
+
+  ValuePredicate pred;
+  pred.kind = ValuePredicate::Kind::kLess;
+  pred.a = 20;
+  for (const bool filtered : {false, true}) {
+    SCOPED_TRACE(filtered ? "filtered" : "unfiltered");
+    RangeQueryOptions options;
+    options.parallelism = 4;
+    if (filtered) options.predicate = pred;
+    RangeQueryExecutor executor(store.get(), options);
+    ASSERT_TRUE(executor.Execute(object, domain).ok());
+
+    std::vector<TraceEvent> events = store->trace()->Drain();
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(store->trace()->dropped(), 0u);
+    const uint32_t tid = events.front().thread_id;
+    std::map<std::string, int> begins;
+    for (const TraceEvent& e : events) {
+      EXPECT_EQ(e.thread_id, tid) << e.name;
+      if (e.begin) ++begins[e.name];
+    }
+    EXPECT_STREQ(events.front().name, "query");
+    EXPECT_TRUE(events.front().begin);
+    EXPECT_STREQ(events.back().name, "query");
+    EXPECT_FALSE(events.back().begin);
+    EXPECT_GT(begins["tile_fetch"], 1);
+    EXPECT_EQ(begins["tile_fetch"], begins["tile_decode"]);
+    CheckPerThreadNesting(events);
+  }
 
   store.reset();
   (void)RemoveFile(path);

@@ -268,7 +268,6 @@ TEST_F(ConcurrentQueryTest, BatchedFetchTilesMatchesIndividualFetches) {
   for (int parallelism : {1, 4}) {
     TileIOOptions options;
     options.parallelism = parallelism;
-    options.pool = store_->thread_pool();
     std::vector<Tile> tiles(hits.size());
     TileIOStats io;
     Status st = store_->io_scheduler()->FetchBatch(
@@ -293,6 +292,60 @@ TEST_F(ConcurrentQueryTest, BatchedFetchTilesMatchesIndividualFetches) {
     }
     EXPECT_EQ(io.tiles, hits.size());
   }
+}
+
+// The batched schedule's error paths: a corrupt BLOB header in the middle
+// of the wave and a consumer failing mid-batch both surface as the batch's
+// status, and the queue-depth gauge settles back to 0 either way.
+TEST_F(ConcurrentQueryTest, BatchedFetchErrorsSettleQueueDepth) {
+  const MInterval region({{0, 59}, {0, 59}});
+  std::vector<TileEntry> hits = object_->FindTiles(region);
+  ASSERT_GE(hits.size(), 4u);
+  std::sort(hits.begin(), hits.end(),
+            [](const TileEntry& a, const TileEntry& b) {
+              return a.blob < b.blob;
+            });
+  auto queue_depth = [&] {
+    return store_->metrics()->Snapshot().gauge("scheduler.queue_depth");
+  };
+  TileIOOptions options;
+  options.parallelism = 4;
+
+  // A consumer error on the third tile stops the batch there.
+  size_t consumed = 0;
+  Status st = store_->io_scheduler()->FetchBatch(
+      hits, object_->cell_type(), options, [&](size_t, const Tile&) {
+        return ++consumed == 3 ? Status::Corruption("consumer failed")
+                               : Status::OK();
+      });
+  EXPECT_TRUE(st.IsCorruption()) << st;
+  EXPECT_EQ(consumed, 3u);
+  EXPECT_EQ(queue_depth(), 0);
+
+  // Overwrite the magic of a header page in the middle of the batch.
+  const uint32_t page_size = store_->page_file()->page_size();
+  const PageId victim = hits[hits.size() / 2].blob;
+  std::vector<uint8_t> page(page_size);
+  ASSERT_TRUE(store_->buffer_pool()->ReadPage(victim, page.data()).ok());
+  std::fill(page.begin(), page.begin() + 4, uint8_t{0xEE});
+  ASSERT_TRUE(store_->buffer_pool()->WritePage(victim, page.data()).ok());
+
+  consumed = 0;
+  st = store_->io_scheduler()->FetchBatch(
+      hits, object_->cell_type(), options, [&](size_t, const Tile&) {
+        ++consumed;
+        return Status::OK();
+      });
+  EXPECT_TRUE(st.IsCorruption()) << st;
+  EXPECT_EQ(consumed, 0u);  // the wave fails before any tile is consumed
+  EXPECT_EQ(queue_depth(), 0);
+
+  RangeQueryOptions query_options;
+  query_options.parallelism = 4;
+  RangeQueryExecutor executor(store_.get(), query_options);
+  Result<Array> result = executor.Execute(object_, region);
+  EXPECT_TRUE(result.status().IsCorruption()) << result.status();
+  EXPECT_EQ(queue_depth(), 0);
 }
 
 }  // namespace
